@@ -6,12 +6,11 @@ throughput of the hot building blocks: AES, the functional ORAM access,
 the DRAM channel service loop, and the event engine.
 """
 
-import os
 import random
 
 from repro.bob.channel import BobChannel
-from repro.core.delegator import OramSequencer
-from repro.core.link_kernel import link_classes
+from repro.core.delegator import OramSequencer, SecureDelegator
+from repro.core.frontend import DelegatorBackend, OramFrontend
 from repro.crypto.aes import AES128
 from repro.dram.channel import Channel
 from repro.dram.commands import MemRequest, OpType
@@ -63,34 +62,23 @@ def test_dram_channel_throughput(benchmark):
     benchmark(service_burst)
 
 
-def _link_pacer_run(kernel, n_periods=400):
+def _link_pacer_run(n_periods=400):
     """``n_periods`` pacer round trips through the secure-link pipeline.
 
     The ORAM tree is the smallest legal one (one fetched level), so the
-    run isolates what the link kernel macro-steps: pacer slot issue,
-    72 B down-transfer, SD service, up-transfer, CPU decrypt hop.  The
-    legacy/kernel rows are same-run siblings -- the wall-time gap is the
-    link+pacer win, attributable separately from the DRAM kernel's.
+    run isolates the fixed-rate pipeline: pacer slot issue, 72 B
+    down-transfer, SD service, up-transfer, CPU decrypt hop.
     """
-    prior = os.environ.get("DORAM_LINK")
-    os.environ["DORAM_LINK"] = "kernel" if kernel else "legacy"
-    try:
-        eng = Engine()
-    finally:
-        if prior is None:
-            del os.environ["DORAM_LINK"]
-        else:
-            os.environ["DORAM_LINK"] = prior
-    frontend_cls, backend_cls, delegator_cls = link_classes(eng)
+    eng = Engine()
     subs = [Channel(eng, "micro0.0")]
     bob = BobChannel(eng, 0, subs)
-    delegator = delegator_cls(eng, bob, {})
+    delegator = SecureDelegator(eng, bob, {})
     cfg = OramConfig(leaf_level=2, treetop_levels=2, subtree_levels=3)
     layout = OramLayout(cfg, home_targets=[(0, 0)])
     controller = OramController(eng, cfg, layout, delegator.sink, seed=1)
     delegator.sequencer = OramSequencer(controller)
-    backend = backend_cls(eng, bob, delegator)
-    frontend = frontend_cls(eng, backend, t_cycles=50)
+    backend = DelegatorBackend(eng, bob, delegator)
+    frontend = OramFrontend(eng, backend, t_cycles=50)
     done = [0]
 
     def count(_time):
@@ -114,12 +102,8 @@ def _link_pacer_run(kernel, n_periods=400):
     return eng.raw_events_dispatched
 
 
-def test_link_pacer_roundtrip_legacy(benchmark):
-    benchmark(_link_pacer_run, False)
-
-
-def test_link_pacer_roundtrip_kernel(benchmark):
-    benchmark(_link_pacer_run, True)
+def test_link_pacer_roundtrip(benchmark):
+    benchmark(_link_pacer_run)
 
 
 def test_event_engine_dispatch(benchmark):

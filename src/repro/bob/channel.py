@@ -68,11 +68,7 @@ class _NormalOp:
             # also the delivery callback, re-invoked with the arrival.
             self.awaiting_data = False
             bob._packets_up()
-            # Tail position: nothing is scheduled after this send, so
-            # the batch-kernel backend may deliver it inline.
-            bob.up.send_tail(
-                bob.packet_sizes.read_response, self, tag="rdata"
-            )
+            bob.up.send(bob.packet_sizes.read_response, self, tag="rdata")
             return
         bob._finish(self.on_complete, time)
 
@@ -111,12 +107,6 @@ class BobChannel:
         }
         self._packets_down = self.stats.counter("packets_down").add
         self._packets_up = self.stats.counter("packets_up").add
-        #: Lazily bound ``raw_down``/``raw_up`` counter adds for the
-        #: kernel fast path (bound on first raw send, so a channel that
-        #: never carries raw traffic keeps an identical StatSet to the
-        #: legacy path).
-        self._raw_down_add: Optional[Callable[[], None]] = None
-        self._raw_up_add: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     # Normal traffic
@@ -199,27 +189,3 @@ class BobChannel:
         """Ship an opaque packet simple controller -> CPU."""
         self.stats.counter("raw_up").add()
         return self.up.send(nbytes, deliver, tag=tag, arg=arg)
-
-    def send_down_tail(self, nbytes: int, deliver: Callable[[int], None],
-                       tag: str = "raw", arg: object = _ARRIVAL_TIME) -> int:
-        """:meth:`send_down` for callers in tail position.
-
-        Same contract and stats; delivery may run inline as one
-        synthesized occurrence via :meth:`SerialLink.send_tail` when it
-        would be the engine's strictly-next event.  Callers must do no
-        further scheduling after this returns.
-        """
-        add = self._raw_down_add
-        if add is None:
-            add = self._raw_down_add = self.stats.counter("raw_down").add
-        add()
-        return self.down.send_tail(nbytes, deliver, tag=tag, arg=arg)
-
-    def send_up_tail(self, nbytes: int, deliver: Callable[[int], None],
-                     tag: str = "raw", arg: object = _ARRIVAL_TIME) -> int:
-        """:meth:`send_up` for callers in tail position."""
-        add = self._raw_up_add
-        if add is None:
-            add = self._raw_up_add = self.stats.counter("raw_up").add
-        add()
-        return self.up.send_tail(nbytes, deliver, tag=tag, arg=arg)

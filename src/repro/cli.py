@@ -137,14 +137,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         except FaultPlanError as exc:
             return _fail(str(exc))
         faults = FaultController(plan)
-    if args.sched:
-        os.environ["DORAM_SCHED"] = args.sched
-    if args.periodic:
-        os.environ["DORAM_PERIODIC"] = args.periodic
-    if args.dram:
-        os.environ["DORAM_DRAM"] = args.dram
-    if args.link:
-        os.environ["DORAM_LINK"] = args.link
     result = run_scheme(args.scheme, args.benchmark, args.trace_length,
                         faults=faults)
     print(f"scheme={args.scheme} benchmark={args.benchmark} "
@@ -281,19 +273,13 @@ def cmd_perf(args: argparse.Namespace) -> int:
     error = _validate_point(args.scheme, args.benchmark, args.trace_length)
     if error:
         return _fail(error)
-    if args.dram:
-        os.environ["DORAM_DRAM"] = args.dram
-    if args.link:
-        os.environ["DORAM_LINK"] = args.link
     profiler = cProfile.Profile()
     profiler.enable()
     result = run_scheme(args.scheme, args.benchmark, args.trace_length)
     profiler.disable()
-    backend = os.environ.get("DORAM_DRAM", "legacy") or "legacy"
-    link_backend = os.environ.get("DORAM_LINK", "legacy") or "legacy"
     print(f"scheme={args.scheme} benchmark={args.benchmark} "
-          f"trace={args.trace_length} dram={backend} link={link_backend}: "
-          f"{result.events:,} events ({result.raw_events:,} dispatched)")
+          f"trace={args.trace_length}: {result.events:,} events "
+          f"({result.raw_events:,} dispatched)")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort)
     stats.print_stats(args.top)
@@ -560,14 +546,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"unknown arrival kind {args.arrival!r} "
             f"(known: {', '.join(ARRIVAL_KINDS)})"
         )
-    if args.sched:
-        os.environ["DORAM_SCHED"] = args.sched
-    if args.periodic:
-        os.environ["DORAM_PERIODIC"] = args.periodic
-    if args.dram:
-        os.environ["DORAM_DRAM"] = args.dram
-    if args.link:
-        os.environ["DORAM_LINK"] = args.link
     overrides: Dict[str, object] = {
         "num_tenants": args.tenants,
         "arrival.kind": args.arrival,
@@ -885,19 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--benchmark", default="libq")
     p_run.add_argument("--trace-length", type=int,
                        default=experiments.DEFAULT_TRACE_LENGTH)
-    p_run.add_argument("--sched", choices=("heap", "wheel"), default="",
-                       help="scheduler backend (DORAM_SCHED)")
-    p_run.add_argument("--periodic", choices=("lazy", "eager"), default="",
-                       help="periodic-stream mode (DORAM_PERIODIC); eager "
-                            "dispatches every occurrence, the census oracle")
-    p_run.add_argument("--dram", choices=("legacy", "kernel"), default="",
-                       help="DRAM service backend (DORAM_DRAM); legacy is "
-                            "the object-per-bank oracle, kernel the batched "
-                            "struct-of-arrays path")
-    p_run.add_argument("--link", choices=("legacy", "kernel"), default="",
-                       help="secure-link pipeline backend (DORAM_LINK); "
-                            "legacy is the per-packet oracle, kernel "
-                            "macro-steps whole pacer periods")
     p_run.add_argument("--faults", default="",
                        help="arm a fault-plan JSON file "
                             "(see 'doram faults --dry-run')")
@@ -978,10 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument("scheme")
     p_perf.add_argument("--benchmark", default="libq")
     p_perf.add_argument("--trace-length", type=int, default=2000)
-    p_perf.add_argument("--dram", choices=("legacy", "kernel"), default="",
-                        help="DRAM service backend (DORAM_DRAM)")
-    p_perf.add_argument("--link", choices=("legacy", "kernel"), default="",
-                        help="secure-link pipeline backend (DORAM_LINK)")
     p_perf.add_argument("--by-component", action="store_true",
                         help="also print cumulative time rolled up per "
                              "repro.* module (--top rows)")
@@ -1034,14 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "admission governor")
     p_serve.add_argument("--control-interval-us", type=float, default=10.0,
                          help="admission-governor cadence in microseconds")
-    p_serve.add_argument("--sched", choices=("heap", "wheel"), default="",
-                         help="scheduler backend (DORAM_SCHED)")
-    p_serve.add_argument("--periodic", choices=("lazy", "eager"), default="",
-                         help="periodic-stream mode (DORAM_PERIODIC)")
-    p_serve.add_argument("--dram", choices=("legacy", "kernel"), default="",
-                         help="DRAM service backend (DORAM_DRAM)")
-    p_serve.add_argument("--link", choices=("legacy", "kernel"), default="",
-                         help="secure-link pipeline backend (DORAM_LINK)")
     p_serve.add_argument("--faults", default="",
                          help="arm a fault-plan JSON on the scenario "
                               "fabric (see examples/faults/)")

@@ -31,7 +31,6 @@ from repro.dram.address_mapping import (
 )
 from repro.dram.channel import Channel
 from repro.dram.commands import MemRequest, OpType, TrafficClass
-from repro.dram.kernel import channel_class
 from repro.dram.scheduler import SharePolicy, SingleClassPolicy
 from repro.obs.snapshot import StatsSampler
 from repro.oram.controller import OramController
@@ -361,7 +360,7 @@ def build_bob_fabric(
                 secure_policy if (is_secure and secure_policy is not None)
                 else SingleClassPolicy()
             )
-            sub = channel_class(engine)(
+            sub = Channel(
                 engine, f"ch{ch}.{i}", dram_timing, channel_params,
                 share_policy=policy, tracer=tracer,
             )
@@ -416,7 +415,7 @@ def build_and_run(config: SystemConfig,
             # Secure and normal traffic share every channel in the
             # on-chip baseline, so each gets the preallocation policy.
             policy = secure_share if oram_in_dram else SingleClassPolicy()
-            channels[(ch, 0)] = channel_class(engine)(
+            channels[(ch, 0)] = Channel(
                 engine, f"ch{ch}", config.dram_timing, config.channel_params,
                 share_policy=policy, tracer=tracer,
             )
@@ -475,25 +474,6 @@ def build_and_run(config: SystemConfig,
     delegator: Optional[SecureDelegator] = None
     s_app_id = config.num_ns_apps  # first S-App id
 
-    # Link-pipeline implementation (DORAM_LINK).  Fault-armed runs always
-    # take the legacy per-packet classes: recovery frames, NAKs and
-    # armed-empty plans are pinned against the per-packet schedule
-    # (link_kernel module docstring, fallback rules).
-    if engine.link_backend == "kernel" and faults is None:
-        from repro.core.link_kernel import (
-            KernelDelegatorBackend,
-            KernelOramFrontend,
-            KernelSecureDelegator,
-        )
-
-        frontend_cls: type = KernelOramFrontend
-        backend_cls: type = KernelDelegatorBackend
-        delegator_cls: type = KernelSecureDelegator
-    else:
-        frontend_cls = OramFrontend
-        backend_cls = DelegatorBackend
-        delegator_cls = SecureDelegator
-
     if config.has_s_app:
         if config.protection == "path":
             ocfg = config.effective_oram()
@@ -516,7 +496,7 @@ def build_and_run(config: SystemConfig,
                                             tracer=tracer)
                 controllers.append(controller)
                 backend = OnChipBackend(engine, controller)
-                frontend = frontend_cls(engine, backend,
+                frontend = OramFrontend(engine, backend,
                                         t_cycles=config.t_cycles,
                                         tracer=tracer)
                 frontend.start()
@@ -528,7 +508,7 @@ def build_and_run(config: SystemConfig,
                     ch: bob for ch, bob in bobs.items()
                     if ch != config.secure_channel
                 }
-                delegator = delegator_cls(
+                delegator = SecureDelegator(
                     engine, secure_bob, normal_bobs,
                     process_ns=config.sd_process_ns, app_id=s_app_id,
                     merge_short_reads=config.merge_short_reads,
@@ -603,10 +583,10 @@ def build_and_run(config: SystemConfig,
                         )
                         backend = FailoverBackend(session)
                     else:
-                        backend = backend_cls(
+                        backend = DelegatorBackend(
                             engine, secure_bob, delegator, controller=ctrl
                         )
-                    frontend = frontend_cls(
+                    frontend = OramFrontend(
                         engine, backend, t_cycles=config.t_cycles,
                         name=f"oram_fe{s_index}", tracer=tracer,
                     )

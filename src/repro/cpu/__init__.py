@@ -4,11 +4,10 @@ USIMM drives its memory system with a per-core reorder-buffer (ROB) model:
 instructions retire in order at the retire width, a load blocks retirement
 until its data returns, stores drain through the write queue, and fetch
 stalls when the ROB is full.  :class:`~repro.cpu.core.Core` reproduces that
-model event-driven, and :class:`~repro.cpu.cache.LastLevelCache` provides
-the 4 MB LLC in front of it (traces can be either pre- or post-LLC).
+model event-driven.  The traces it consumes are post-LLC (every record is a
+last-level-cache miss), so no cache model sits in front of it.
 """
 
 from repro.cpu.core import Core, CoreParams
-from repro.cpu.cache import LastLevelCache
 
-__all__ = ["Core", "CoreParams", "LastLevelCache"]
+__all__ = ["Core", "CoreParams"]

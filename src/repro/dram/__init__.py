@@ -19,7 +19,6 @@ from repro.dram.timing import DDR3Timing, DDR3_1600
 from repro.dram.commands import MemRequest, OpType
 from repro.dram.bank import Bank
 from repro.dram.channel import Channel
-from repro.dram.kernel import KernelChannel, channel_class
 from repro.dram.scheduler import FrFcfsScheduler, SharePolicy
 from repro.dram.address_mapping import (
     ChannelInterleaver,
@@ -35,8 +34,6 @@ __all__ = [
     "OpType",
     "Bank",
     "Channel",
-    "KernelChannel",
-    "channel_class",
     "FrFcfsScheduler",
     "SharePolicy",
     "ChannelInterleaver",

@@ -30,6 +30,7 @@ mixed-traffic slots where the share policy filters candidates first).
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, Dict, List, Optional
 
 from repro.dram.bank import Bank, RankTimers
@@ -183,10 +184,9 @@ class Channel:
             now = engine.now
             seq = engine._seq
             engine._seq = seq + 1
-            engine._push(
-                (bus_free if bus_free > now else now, seq,
-                 self._service, _NO_ARG)
-            )
+            heappush(engine._queue,
+                     (bus_free if bus_free > now else now, seq,
+                      self._service, _NO_ARG))
 
     def notify_on_space(self, callback: Callable[[], None]) -> None:
         """One-shot callback fired the next time any queue entry drains."""
@@ -214,12 +214,6 @@ class Channel:
     # ------------------------------------------------------------------
     # Service loop
     # ------------------------------------------------------------------
-    def _kick(self) -> None:
-        if self._service_scheduled or not (self.read_q or self.write_q):
-            return
-        self._service_scheduled = True
-        self.engine.at(max(self.engine.now, self._bus_free), self._service)
-
     def _service(self) -> None:
         self._service_scheduled = False
         read_q = self.read_q
@@ -273,12 +267,11 @@ class Channel:
             self._service_scheduled = True
             seq = engine._seq
             engine._seq = seq + 1
-            engine._push(
-                (max(now, self._bus_free), seq, self._service, _NO_ARG)
-            )
+            heappush(engine._queue,
+                     (max(now, self._bus_free), seq, self._service, _NO_ARG))
             return
 
-        # Inline of _select_queue (write-drain hysteresis + age bound).
+        # Queue selection: write-drain hysteresis + age bound.
         params = self.params
         wq_len = len(write_q)
         draining = self._draining
@@ -404,7 +397,7 @@ class Channel:
                 self._faults.maybe_flip(on_complete)
             seq = engine._seq
             engine._seq = seq + 1
-            engine._push((finish, seq, on_complete, finish))
+            heappush(engine._queue, (finish, seq, on_complete, finish))
 
         if self._space_waiters:
             self._wake_space_waiters()
@@ -414,29 +407,7 @@ class Channel:
             self._service_scheduled = True
             seq = engine._seq
             engine._seq = seq + 1
-            engine._push((data_start, seq, self._service, _NO_ARG))
-
-    def _select_queue(self) -> List[MemRequest]:
-        """Write-drain hysteresis + age bound, else reads, else writes."""
-        write_q = self.write_q
-        wq_len = len(write_q)
-        draining = self._draining
-        if draining and wq_len <= self.params.write_drain_lo:
-            draining = self._draining = False
-        if not draining and wq_len >= self.params.write_drain_hi:
-            draining = self._draining = True
-        if not draining and wq_len:
-            # Starvation bound: a sufficiently old write forces service
-            # even below the high watermark (bounded write latency, as in
-            # real controllers).  FIFO append order makes the queue head
-            # the oldest write.
-            if self.engine.now - write_q[0].arrival >= self.params.write_timeout:
-                draining = self._draining = True
-        if draining and wq_len:
-            return write_q
-        if self.read_q:
-            return self.read_q
-        return write_q
+            heappush(engine._queue, (data_start, seq, self._service, _NO_ARG))
 
     def _pick_request(self, queue: List[MemRequest]) -> MemRequest:
         """Arbitrate traffic classes, then FR-FCFS within the class."""
@@ -565,19 +536,6 @@ class Channel:
         return 0
 
     # ------------------------------------------------------------------
-    def _record(self, req: MemRequest, outcome: str, finish: int) -> None:
-        """Record service statistics (kept for subclass/analysis use; the
-        service loop inlines the same sequence)."""
-        latency = finish - req.arrival
-        lat_kind, lat_cls, served = self._lat_by_req[
-            (2 if req.is_write else 0)
-            + (1 if req.traffic is TrafficClass.SECURE else 0)
-        ]
-        lat_kind.record(latency)
-        lat_cls.record(latency)
-        self._row_counters[outcome].value += 1
-        served.value += 1
-
     def _wake_space_waiters(self) -> None:
         if not self._space_waiters:
             return

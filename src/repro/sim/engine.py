@@ -24,8 +24,6 @@ into ticks.
 
 from __future__ import annotations
 
-import os
-from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
@@ -110,41 +108,24 @@ class Engine:
     [10]
     """
 
-    def __init__(self, tracer=None, scheduler: Optional[str] = None,
-                 periodic: Optional[str] = None) -> None:
+    def __init__(self, tracer=None, periodic: str = "lazy") -> None:
         """``tracer`` (a :class:`repro.obs.tracer.Tracer`) enables
         per-dispatch events under the ``engine`` category; dispatch
         tracing is opt-in because it emits one event per callback.
-
-        ``scheduler`` selects the pending-event structure: ``"heap"``
-        (default) or ``"wheel"`` (the bucketed calendar queue in
-        :mod:`repro.sim.wheel`); ``None`` reads ``DORAM_SCHED``.  Both
-        dispatch in identical ``(time, seq)`` order -- the differential
-        reference suite pins this.
 
         ``periodic`` selects how fixed-cadence model bookkeeping (rank
         refresh, the secure engine's emitter, core gap crunching) is
         materialized: ``"lazy"`` (default) lets models fast-forward
         quiescent stretches in closed form, synthesizing the skipped
         occurrences into the event census; ``"eager"`` forces the
-        one-event-per-occurrence behavior (the census-invariance
-        differential oracle).  ``None`` reads ``DORAM_PERIODIC``.
+        one-event-per-occurrence behavior, the reference the lazy census
+        is checked against.
         """
-        if scheduler is None:
-            scheduler = os.environ.get("DORAM_SCHED", "heap")
-        if scheduler not in ("heap", "wheel"):
-            raise ValueError(f"unknown scheduler backend {scheduler!r}")
-        if periodic is None:
-            periodic = os.environ.get("DORAM_PERIODIC", "lazy")
         if periodic not in ("lazy", "eager"):
             raise ValueError(f"unknown periodic mode {periodic!r}")
-        dram = os.environ.get("DORAM_DRAM", "legacy")
-        if dram not in ("legacy", "kernel"):
-            raise ValueError(f"unknown DRAM backend {dram!r}")
-        link = os.environ.get("DORAM_LINK", "legacy")
-        if link not in ("legacy", "kernel"):
-            raise ValueError(f"unknown link backend {link!r}")
         self.now: int = 0
+        #: Pending ``(time, seq, callback, arg)`` entries as a heap.  Hot
+        #: callers inline :meth:`call_at` by pushing onto it directly.
         self._queue: List[EventHandle] = []
         self._seq = 0
         self._events_dispatched = 0
@@ -155,24 +136,6 @@ class Engine:
         self._synthesized = 0
         #: True when models may fast-forward periodic work (see above).
         self.lazy_periodic = periodic == "lazy"
-        self.scheduler = scheduler
-        #: DRAM channel implementation (``DORAM_DRAM``): ``"legacy"`` is
-        #: the object-per-bank oracle, ``"kernel"`` the struct-of-arrays
-        #: batch kernel (:mod:`repro.dram.kernel`).  The system builder
-        #: reads this to pick the channel class.
-        self.dram_backend = dram
-        #: Secure-link pipeline implementation (``DORAM_LINK``):
-        #: ``"legacy"`` is the per-packet SerialLink/SecureDelegator
-        #: oracle, ``"kernel"`` the macro-stepping pipeline kernel
-        #: (:mod:`repro.core.link_kernel`).  The system builder reads
-        #: this to pick the frontend/delegator classes; fault-armed runs
-        #: always fall back to the legacy classes (per-packet stepping).
-        self.link_backend = link
-        #: The active ``run(until=...)`` bound (``None`` outside a
-        #: bounded run).  Batch kernels consult it so inline chains never
-        #: execute events the bounded dispatch loop would have left
-        #: queued.
-        self._run_until: Optional[int] = None
         #: Seqs of cancelled-but-not-yet-popped entries.  The dispatch
         #: loop guards on the set's truthiness, so the no-cancellation
         #: hot path pays a single local check per event.
@@ -182,31 +145,6 @@ class Engine:
             tracer.category("engine") if tracer is not None
             else _NULL_DISPATCH_TRACER
         )
-        #: True when same-tick completion work may run inline (booked as
-        #: synthesized) instead of being dispatched: the batch-kernel
-        #: backend is selected, lazy periodic mode allows synthesized
-        #: occurrences, and no per-dispatch engine trace would miss the
-        #: elided dispatches.  The legacy backend keeps the exact
-        #: dispatch-per-event behavior, preserving it as the bit-exact
-        #: differential oracle.
-        self.batch_inline_ok = (
-            (dram == "kernel" or link == "kernel")
-            and self.lazy_periodic
-            and not self._tracer.enabled
-        )
-        if scheduler == "wheel":
-            from repro.sim.wheel import DEFAULT_BUCKET_TICKS, TimingWheel
-
-            bucket = int(
-                os.environ.get("DORAM_WHEEL_BUCKET", DEFAULT_BUCKET_TICKS)
-            )
-            self._wheel: Optional["TimingWheel"] = TimingWheel(bucket)
-            #: Single scheduling entry point: hot callers cache this
-            #: bound callable instead of inlining ``heappush``.
-            self._push: Callable[[EventHandle], None] = self._wheel.push
-        else:
-            self._wheel = None
-            self._push = partial(heappush, self._queue)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -225,7 +163,7 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         entry = (time, seq, callback, _NO_ARG)
-        self._push(entry)
+        heappush(self._queue, entry)
         return entry
 
     def after(self, delay: int, callback: Callable[[], None]) -> EventHandle:
@@ -235,7 +173,7 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         entry = (self.now + delay, seq, callback, _NO_ARG)
-        self._push(entry)
+        heappush(self._queue, entry)
         return entry
 
     def call_at(
@@ -252,7 +190,7 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         entry = (time, seq, callback, arg)
-        self._push(entry)
+        heappush(self._queue, entry)
         return entry
 
     def call_after(
@@ -264,7 +202,7 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         entry = (self.now + delay, seq, callback, arg)
-        self._push(entry)
+        heappush(self._queue, entry)
         return entry
 
     def cancel(self, handle: EventHandle) -> bool:
@@ -279,8 +217,7 @@ class Engine:
         """
         if handle[1] in self._cancelled_seqs:
             return False
-        wheel = self._wheel
-        if handle not in (self._queue if wheel is None else wheel):
+        if handle not in self._queue:
             return False
         self._cancelled_seqs.add(handle[1])
         return True
@@ -290,37 +227,10 @@ class Engine:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Dispatch the next event.  Returns ``False`` when queue is empty."""
-        wheel = self._wheel
-        if wheel is not None:
-            return self._step_wheel()
         queue = self._queue
         cancelled = self._cancelled_seqs
         while queue:
             time, seq, callback, arg = heappop(queue)
-            if cancelled and seq in cancelled:
-                cancelled.remove(seq)
-                continue
-            self.now = time
-            self._events_dispatched += 1
-            tracer = self._tracer
-            if tracer.enabled:
-                tracer.instant(
-                    "engine", "dispatch", "engine", time,
-                    {"seq": seq, "fn": _callback_label(callback)},
-                )
-            if arg is _NO_ARG:
-                callback()
-            else:
-                callback(arg)
-            return True
-        return False
-
-    def _step_wheel(self) -> bool:
-        """:meth:`step` over the wheel backend (same semantics)."""
-        wheel = self._wheel
-        cancelled = self._cancelled_seqs
-        while len(wheel):
-            time, seq, callback, arg = wheel.pop()
             if cancelled and seq in cancelled:
                 cancelled.remove(seq)
                 continue
@@ -355,9 +265,6 @@ class Engine:
             instead of hanging.
         """
         self._stopped = False
-        self._run_until = until
-        if self._wheel is not None:
-            return self._run_wheel(until, max_events)
         # The dispatch loop binds everything it touches every iteration
         # to locals (heap, heappop, tracer guard, dispatch budget) and
         # drains each tick as a same-tick batch, so the `until` bound and
@@ -398,7 +305,6 @@ class Engine:
                             break
             finally:
                 self._events_dispatched = dispatched
-                self._run_until = None
             return
         try:
             while queue:
@@ -442,64 +348,6 @@ class Engine:
                 self.now = until
         finally:
             self._events_dispatched = dispatched
-            self._run_until = None
-
-    def _run_wheel(self, until: Optional[int],
-                   max_events: Optional[int]) -> None:
-        """:meth:`run` over the wheel backend.
-
-        Same structure as the heap general loop -- same-tick FIFO
-        batching, tombstone skip, ``until``/``max_events``/tracing
-        semantics -- with heap peeks replaced by :meth:`TimingWheel.peek`.
-        """
-        wheel = self._wheel
-        cancelled = self._cancelled_seqs
-        tracer = self._tracer
-        traced = tracer.enabled
-        no_arg = _NO_ARG
-        dispatched = self._events_dispatched
-        limit = _NO_LIMIT if max_events is None else dispatched + max_events
-        try:
-            head = wheel.peek()
-            while head is not None:
-                time = head[0]
-                if until is not None and time > until:
-                    self.now = until
-                    return
-                self.now = time
-                while True:
-                    entry = wheel.pop()
-                    _t, seq, callback, arg = entry
-                    if cancelled and seq in cancelled:
-                        cancelled.remove(seq)
-                    elif dispatched >= limit:
-                        wheel.push(entry)
-                        raise RuntimeError(
-                            f"exceeded max_events={max_events}; "
-                            "possible livelock"
-                        )
-                    else:
-                        dispatched += 1
-                        if traced:
-                            tracer.instant(
-                                "engine", "dispatch", "engine", time,
-                                {"seq": seq,
-                                 "fn": _callback_label(callback)},
-                            )
-                        if arg is no_arg:
-                            callback()
-                        else:
-                            callback(arg)
-                        if self._stopped:
-                            return
-                    head = wheel.peek()
-                    if head is None or head[0] != time:
-                        break
-            if until is not None and self.now < until:
-                self.now = until
-        finally:
-            self._events_dispatched = dispatched
-            self._run_until = None
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current event returns."""
@@ -511,9 +359,7 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        wheel = self._wheel
-        queued = len(self._queue) if wheel is None else len(wheel)
-        return queued - len(self._cancelled_seqs)
+        return len(self._queue) - len(self._cancelled_seqs)
 
     @property
     def events_dispatched(self) -> int:
@@ -545,37 +391,11 @@ class Engine:
     def peek_time(self) -> Optional[int]:
         """Tick of the next live pending event, or ``None`` if none remain.
 
-        Callers use this as a fast-forward limit.  The batch kernel
-        (:mod:`repro.dram.kernel`) only ever holds an event out of the
-        queue *inside* its own chain loop -- every code path that
-        consults this method runs with the kernel fully flushed -- so
-        the queue head is always the true next event.
+        Callers use this as a fast-forward limit.  Cancel tombstones at
+        the head are drained on the way, like the dispatcher would.
         """
-        queued = self._peek_queued()
-        return queued[0] if queued is not None else None
-
-    def peek_entry(self) -> Optional[EventHandle]:
-        """The live head *entry* of the queue, or ``None`` if empty.
-
-        Unlike :meth:`peek_time` this exposes the sequence number, for
-        the batch kernel's strict ``(time, seq)`` chain guard.
-        """
-        return self._peek_queued()
-
-    def _peek_queued(self) -> Optional[EventHandle]:
-        """Live queue head, skipping (and draining) cancel tombstones."""
-        cancelled = self._cancelled_seqs
-        wheel = self._wheel
-        if wheel is not None:
-            while True:
-                head = wheel.peek()
-                if head is None:
-                    return None
-                if cancelled and head[1] in cancelled:
-                    cancelled.remove(wheel.pop()[1])
-                    continue
-                return head
         queue = self._queue
+        cancelled = self._cancelled_seqs
         while queue and cancelled and queue[0][1] in cancelled:
             cancelled.remove(heappop(queue)[1])
-        return queue[0] if queue else None
+        return queue[0][0] if queue else None

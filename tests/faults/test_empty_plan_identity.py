@@ -4,12 +4,10 @@ The fault layer's core zero-overhead promise: a run with an *empty*
 :class:`FaultPlan` armed -- recovery sessions, sequence-numbered frames,
 deadline timers and all -- is **bit-identical** to a run with no fault
 controller at all.  Same golden trace digest, same serialized
-:class:`SimResult` payload, same logical event census, and that holds on
-every scheduler backend (heap/wheel) x periodic mode (eager/lazy)
-combination the engine supports.
+:class:`SimResult` payload, same logical event census and raw dispatch
+count, and that holds in both periodic modes (eager/lazy) the engine
+supports.
 """
-
-import os
 
 import pytest
 
@@ -17,15 +15,7 @@ from repro.faults import FaultController, FaultPlan
 from repro.obs.export import trace_digest
 from repro.obs.golden import GOLDEN_SCHEMES, run_traced
 
-BACKENDS = [
-    ("heap", "lazy"), ("heap", "eager"),
-    ("wheel", "lazy"), ("wheel", "eager"),
-]
-
-
-def _set_backend(monkeypatch, sched, periodic):
-    monkeypatch.setenv("DORAM_SCHED", sched)
-    monkeypatch.setenv("DORAM_PERIODIC", periodic)
+BACKENDS = ["lazy", "eager"]
 
 
 class TestEmptyPlanIdentity:
@@ -39,20 +29,13 @@ class TestEmptyPlanIdentity:
             trace_digest(bare_tracer.events)
         assert armed_result.to_json_dict() == bare_result.to_json_dict()
         assert armed_result.events == bare_result.events
-        if os.environ.get("DORAM_LINK") != "kernel":
-            # Under the link kernel, arming a plan (even an empty one)
-            # deliberately forces the per-packet legacy pipeline --
-            # recovery frames and NAKs are pinned against that schedule
-            # -- so the *raw* dispatch count rises while every logical
-            # observable above stays identical.  The fallback itself is
-            # pinned by tests/core/test_link_kernel_oracle.py.
-            assert armed_result.raw_events == bare_result.raw_events
+        assert armed_result.raw_events == bare_result.raw_events
 
-    @pytest.mark.parametrize("sched,periodic", BACKENDS)
+    @pytest.mark.parametrize("periodic", BACKENDS)
     def test_identity_holds_on_every_engine_backend(
-        self, monkeypatch, sched, periodic
+        self, periodic_mode, periodic
     ):
-        _set_backend(monkeypatch, sched, periodic)
+        periodic_mode(periodic)
         bare_result, bare_tracer = run_traced("doram")
         armed_result, armed_tracer = run_traced(
             "doram", faults=FaultController(FaultPlan())
@@ -60,6 +43,7 @@ class TestEmptyPlanIdentity:
         assert trace_digest(armed_tracer.events) == \
             trace_digest(bare_tracer.events)
         assert armed_result.to_json_dict() == bare_result.to_json_dict()
+        assert armed_result.raw_events == bare_result.raw_events
 
     def test_empty_plan_reports_a_summary_anyway(self):
         """Arming is observable through fault_summary (all zeros), just

@@ -243,8 +243,13 @@ class TestServeCommand:
         assert not args.digest
 
     def test_parser_rejects_unknown_sched(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--sched", "bogus"])
+        """The simulator has one engine backend: no subcommand takes a
+        backend-selection flag."""
+        parser = build_parser()
+        for command in (["run", "doram"], ["serve"], ["perf", "doram"]):
+            for flag in ("--sched", "--periodic", "--dram", "--link"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args(command + [flag, "heap"])
 
     def test_serve_smoke_report(self, capsys):
         code = main(["serve", "--tenants", "2", "--leaf-level", "12",
@@ -255,15 +260,11 @@ class TestServeCommand:
         assert "p999" in out
         assert "report digest" in out
 
-    def test_serve_digest_and_json(self, capsys, tmp_path, monkeypatch):
-        # Seed the env vars via monkeypatch so its teardown undoes the
-        # os.environ writes cmd_serve makes for --sched/--periodic.
-        monkeypatch.setenv("DORAM_SCHED", "heap")
-        monkeypatch.setenv("DORAM_PERIODIC", "lazy")
+    def test_serve_digest_and_json(self, capsys, tmp_path):
         report = tmp_path / "slo.json"
         code = main(["serve", "--tenants", "2", "--leaf-level", "12",
-                     "--horizon-us", "10", "--sched", "wheel",
-                     "--digest", "--json", str(report)])
+                     "--horizon-us", "10", "--digest", "--json",
+                     str(report)])
         assert code == 0
         out = capsys.readouterr().out
         assert "trace digest:" in out

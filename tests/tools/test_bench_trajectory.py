@@ -3,8 +3,7 @@
 ``tools/bench_trajectory.py`` guards the two append-only measurement
 files (``BENCH_sweep.json``, ``BENCH_sim.json``): malformed rows,
 out-of-order timestamps, and duplicate label+workload+config identities
-are refused before they land, so the ratio gates in
-``tools/check_kernel_perf.py`` always compare well-formed siblings.
+are refused before they land, so rows stay comparable across commits.
 """
 
 import json
@@ -23,8 +22,6 @@ def _fig9_row(**overrides):
         "label": "test",
         "workload": "fig9_segment",
         "config": "lazy",
-        "dram": "legacy",
-        "link": "legacy",
         "events": 1000,
         "events_per_s": 500,
         "events_dispatched": 900,
@@ -54,8 +51,8 @@ class TestValidate:
             bench_trajectory.validate(row, [])
 
     def test_none_value_counts_as_missing(self):
-        with pytest.raises(ValueError, match="dram"):
-            bench_trajectory.validate(_fig9_row(dram=None), [])
+        with pytest.raises(ValueError, match="schemes"):
+            bench_trajectory.validate(_fig9_row(schemes=None), [])
 
     def test_unknown_workload_needs_only_base_keys(self):
         bench_trajectory.validate(
@@ -81,19 +78,39 @@ class TestValidate:
             bench_trajectory.validate(_fig9_row(), [row])
 
     def test_sibling_rows_are_not_duplicates(self):
-        # The same label re-measured on a different backend axis is the
-        # sibling-pair convention, not a duplicate.
-        legacy = _fig9_row()
-        bench_trajectory.validate(_fig9_row(link="kernel"), [legacy])
-        bench_trajectory.validate(_fig9_row(dram="kernel"), [legacy])
+        # Committed rows measured on different historical backend axes
+        # are siblings, not duplicates; so is a fresh label.
+        legacy = _fig9_row(dram="legacy", link="legacy")
+        bench_trajectory.validate(
+            _fig9_row(dram="legacy", link="kernel"), [legacy])
+        bench_trajectory.validate(
+            _fig9_row(dram="kernel", link="legacy"), [legacy])
         bench_trajectory.validate(_fig9_row(label="other"), [legacy])
 
     def test_historical_rows_are_not_judged(self):
-        # Pre-link-axis rows lack the ``link`` key entirely; they stay
-        # in the file and only the *new* record must satisfy the schema.
+        # Pre-schema rows lack later keys entirely; they stay in the
+        # file and only the *new* record must satisfy the schema.
         old = _fig9_row()
-        del old["link"]
-        bench_trajectory.validate(_fig9_row(), [old])
+        del old["per_scheme_events"]
+        bench_trajectory.validate(_fig9_row(label="new"), [old])
+
+    def test_backend_axes_are_history_only(self):
+        # New rows need no dram/link columns, and without them a
+        # re-measurement under the same label+workload+config is still
+        # a duplicate ...
+        row = _fig9_row()
+        for workload in ("fig9_segment", "channel_only", "link_pacer"):
+            required = bench_trajectory.required_keys(
+                {"workload": workload})
+            assert "dram" not in required and "link" not in required
+        bench_trajectory.validate(row, [])
+        with pytest.raises(ValueError, match="duplicate"):
+            bench_trajectory.validate(_fig9_row(), [row])
+        # ... while the committed BENCH_sim.json rows that differ only
+        # in those columns still replay clean under --check.
+        root = os.path.join(os.path.dirname(__file__), "..", "..")
+        path = os.path.join(root, "BENCH_sim.json")
+        assert bench_trajectory.main(["--check", path]) == 0
 
 
 def _explore_row(**overrides):
