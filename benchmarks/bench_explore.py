@@ -21,6 +21,8 @@ import os
 import sys
 import time
 
+from conftest import bench_trace_length
+
 from repro.analysis.explore import (
     DEFAULT_BENCH_PATH,
     bench_record,
@@ -39,7 +41,7 @@ if _TOOLS not in sys.path:
 
 import bench_trajectory  # noqa: E402  (path shim above)
 
-TRACE_LENGTH = int(os.environ.get("DORAM_TRACE_LENGTH", "2500")) // 10
+TRACE_LENGTH = bench_trace_length() // 10
 
 #: Re-measuring an identity (label+workload+config) is refused by the
 #: trajectory schema, so CI must append under its own label.

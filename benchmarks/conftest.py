@@ -7,7 +7,8 @@ simulations, not microbenchmarks) and prints the same rows the paper
 plots, next to the paper's reference numbers where the paper states
 them.
 
-Scale knobs (environment):
+Scale knobs (environment, read here in the harness only -- the library
+takes these values as arguments):
 
 * ``DORAM_TRACE_LENGTH`` -- memory accesses per core per run
   (default 2500; the paper used 500 M instructions);
@@ -24,6 +25,13 @@ import sys
 _SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 if _SRC not in sys.path:
     sys.path.insert(0, os.path.abspath(_SRC))
+
+
+def bench_trace_length():
+    """Memory accesses per core per run for the harness."""
+    from repro.analysis.experiments import DEFAULT_TRACE_LENGTH
+    env = os.environ.get("DORAM_TRACE_LENGTH", "").strip()
+    return int(env) if env else DEFAULT_TRACE_LENGTH
 
 
 def bench_benchmarks():

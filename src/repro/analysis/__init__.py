@@ -27,7 +27,6 @@ from repro.analysis.workqueue import (
     DrainResult,
     QueueStats,
     WorkQueue,
-    run_queue_sweep,
 )
 from repro.analysis.explore import ExploreResult, build_grid, explore
 
@@ -44,7 +43,6 @@ __all__ = [
     "DrainResult",
     "QueueStats",
     "WorkQueue",
-    "run_queue_sweep",
     "ExploreResult",
     "build_grid",
     "explore",

@@ -13,19 +13,20 @@ Two execution paths share the same drivers:
   missing point through :func:`cached_run` (an in-process memo).
 * **Sweep** -- :func:`figure_points` declares every run a figure needs
   as :class:`~repro.analysis.sweep.RunPoint` objects;
-  :func:`run_figures` executes them through the parallel, resumable
-  sweep runner, primes the memo with the results, and then evaluates
-  the drivers, which find every run already cached.
+  :func:`run_figures` executes them through
+  :func:`~repro.analysis.sweep.run_sweep` (serial, or a work-queue
+  drain), primes the memo with the results, and then evaluates the
+  drivers, which find every run already cached.
 
 Scale: the paper simulates 500 M-instruction traces; the default here is
-``DORAM_TRACE_LENGTH`` memory accesses per core (env-overridable, read
-at call time).  The shapes these functions exist to reproduce are stable
-in trace length; the integration tests assert that.
+:data:`DEFAULT_TRACE_LENGTH` memory accesses per core, and every driver
+takes a ``trace_length`` argument (``--trace-length`` on the CLI).  The
+shapes these functions exist to reproduce are stable in trace length;
+the integration tests assert that.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
     Sequence, Tuple
 
@@ -52,17 +53,8 @@ from repro.sim.stats import geomean
 from repro.trace.benchmarks import BENCHMARKS
 
 
-def default_trace_length() -> int:
-    """Memory accesses per core per run, resolved from the environment
-    *at call time* so mid-process changes to ``DORAM_TRACE_LENGTH``
-    take effect (regression-tested)."""
-    return int(os.environ.get("DORAM_TRACE_LENGTH", "2500"))
-
-
-#: Import-time snapshot, kept for CLI argparse defaults and backwards
-#: compatibility; runtime resolution goes through
-#: :func:`default_trace_length`.
-DEFAULT_TRACE_LENGTH = default_trace_length()
+#: Memory accesses per core per run when a caller passes no length.
+DEFAULT_TRACE_LENGTH = 2500
 
 #: All Table III benchmark codes, in the paper's order.
 ALL_BENCHMARKS: Tuple[str, ...] = tuple(b.code for b in BENCHMARKS)
@@ -84,7 +76,7 @@ def cached_run(
     every declared point and only simulate here when called without a
     sweep.
     """
-    length = trace_length or default_trace_length()
+    length = trace_length or DEFAULT_TRACE_LENGTH
     key = (scheme, benchmark, length, segment, tuple(sorted(overrides.items())))
     if key not in _run_cache:
         _run_cache[key] = run_scheme(
@@ -351,7 +343,7 @@ def fig12(
     """
     codes = _benchmarks(benchmarks)
     sweep = fig11(codes, trace_length)
-    length = trace_length or default_trace_length()
+    length = trace_length or DEFAULT_TRACE_LENGTH
     out: Dict[str, Dict[str, object]] = {}
     for code in codes:
         profile: ProfileResult = profile_ratio(
@@ -459,7 +451,7 @@ def figure_points(
         raise ValueError(f"unknown figure {figure!r} "
                          f"(known: {', '.join(ALL_FIGURES)})")
     codes = _benchmarks(benchmarks)
-    length = trace_length or default_trace_length()
+    length = trace_length or DEFAULT_TRACE_LENGTH
     if figure == "fig8":
         code = codes[0] if benchmarks else "libq"
         return [
@@ -502,10 +494,13 @@ def run_figures(
     resume: bool = True,
     progress: Optional[Callable[[str], None]] = None,
     timeout_s: Optional[float] = None,
+    queue_root: Optional[str] = None,
 ) -> Tuple[Dict[str, object], SweepResult]:
     """Sweep every point the figures need, then evaluate their drivers.
 
-    Returns ``({figure: driver_output}, sweep_result)``.  The drivers
+    Returns ``({figure: driver_output}, sweep_result)``.  The sweep
+    arguments, ``queue_root`` included, go to
+    :func:`~repro.analysis.sweep.run_sweep` unchanged.  The drivers
     consume the primed memo, so after the sweep they are pure
     arithmetic -- no simulation happens on the calling thread.
 
@@ -518,7 +513,7 @@ def run_figures(
     points = points_for_figures(figures, benchmarks, trace_length)
     sweep_result = run_sweep(
         points, workers=workers, store=store, resume=resume,
-        progress=progress, timeout_s=timeout_s,
+        progress=progress, timeout_s=timeout_s, queue_root=queue_root,
     )
     if sweep_result.failed:
         raise SweepFailure(sweep_result)

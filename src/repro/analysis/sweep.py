@@ -1,4 +1,4 @@
-"""Parallel, resumable experiment sweeps with an on-disk result store.
+"""Resumable experiment sweeps with an on-disk result store.
 
 Every paper exhibit is a set of *independent* simulations -- one
 ``run_scheme`` call per ``(scheme, benchmark, trace-segment, config
@@ -14,23 +14,22 @@ This module provides the three pieces the figure drivers build on:
   the config schema or result format retires old entries wholesale.
 
 * :class:`ResultStore` -- a directory of one canonical-JSON file per
-  run, written atomically (tmp + ``os.replace``), so an interrupted
-  sweep leaves only complete entries and the next invocation resumes
-  where it died instead of re-simulating.
+  run, written atomically (:func:`atomic_write_json`), so an
+  interrupted sweep leaves only complete entries and the next
+  invocation resumes where it died instead of re-simulating.
 
-* :func:`run_sweep` -- fan-out over a :class:`ProcessPoolExecutor`.
-  Each worker runs one point and returns the *serialized* payload
-  (:meth:`SimResult.to_json_dict` + optionally the PR-1 trace digest);
-  the parent persists and returns them.  The simulator is deterministic
-  given a config, and payloads are exact-integer state, so a parallel
-  sweep is bit-identical to a serial one -- enforced by
-  ``tests/analysis/test_sweep.py``.
+* :func:`run_sweep` -- the one sweep entry point.  One worker and no
+  queue directory run the points serially in-process; everything else
+  declares them in a :class:`~repro.analysis.workqueue.WorkQueue` and
+  drains it with local worker processes.  Each point's payload is
+  :meth:`SimResult.to_json_dict` (+ optionally the PR-1 trace digest).
+  The simulator is deterministic given a config, and payloads are
+  exact-integer state, so a parallel sweep is bit-identical to a serial
+  one -- enforced by ``tests/analysis/test_sweep.py``.
 
-Environment knobs:
-
-* ``DORAM_SWEEP_WORKERS`` -- default worker count (else ``os.cpu_count``).
-* ``DORAM_SWEEP_STORE``   -- default store directory
-  (else ``.doram-sweep/`` under the current directory).
+Worker count, store directory and trace length are plain arguments
+(``--workers`` / ``--store`` / ``--trace-length`` on the CLI); nothing
+here reads the environment.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import os
 import tempfile
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -53,22 +51,12 @@ from repro.core.system import SimResult
 #: garbage.
 STORE_SCHEMA_VERSION = 1
 
-#: Default on-disk store location (env: ``DORAM_SWEEP_STORE``).
-DEFAULT_STORE_ENV = "DORAM_SWEEP_STORE"
+#: Default on-disk store location, relative to the current directory.
 DEFAULT_STORE_DIR = ".doram-sweep"
-
-#: Default worker count (env: ``DORAM_SWEEP_WORKERS``).
-WORKERS_ENV = "DORAM_SWEEP_WORKERS"
-
-
-def default_store_path() -> str:
-    return os.environ.get(DEFAULT_STORE_ENV, "").strip() or DEFAULT_STORE_DIR
 
 
 def default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
-        return max(1, int(env))
+    """Default worker count: one per CPU."""
     return max(1, os.cpu_count() or 1)
 
 
@@ -76,6 +64,42 @@ def canonical_json(payload: object) -> str:
     """Canonical encoding: sorted keys, no whitespace -- the byte form
     both the store files and the content-address hash are built from."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def atomic_write_json(path: str, payload: object) -> None:
+    """Durably write ``payload`` to ``path`` as canonical JSON.
+
+    The tmp name is unique per call (``mkstemp``), not per
+    ``(pid, key)``: two threads of one process writing the same path
+    used to race on a shared tmp path, and one could rename the other's
+    half-written file into place.  The data is fsynced before the
+    rename and the directory entry after it, so a crash at any point
+    leaves either the old file or the complete new one -- never a torn
+    file.
+    """
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    try:
+        with os.fdopen(fd, "w") as fp:
+            fp.write(canonical_json(payload))
+            fp.flush()
+            os.fsync(fp.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +181,13 @@ class ResultStore:
 
     Layout: ``<root>/<key[:2]>/<key>.json`` -- one canonical-JSON file
     per run, fanned out over 256 subdirectories so large sweeps do not
-    create giant flat directories.  Writes are atomic (same-directory
-    tmp file + ``os.replace``), so readers never observe a torn file
+    create giant flat directories.  Writes are atomic
+    (:func:`atomic_write_json`), so readers never observe a torn file
     and a killed sweep leaves only complete entries behind.
     """
 
     def __init__(self, root: Optional[str] = None) -> None:
-        self.root = root if root is not None else default_store_path()
+        self.root = root if root is not None else DEFAULT_STORE_DIR
         os.makedirs(self.root, exist_ok=True)
 
     def path_for(self, key: str) -> str:
@@ -183,40 +207,8 @@ class ResultStore:
             return None
 
     def put(self, key: str, payload: Dict[str, object]) -> None:
-        """Durably persist one entry.
-
-        The tmp name is unique per call (``mkstemp``), not per
-        ``(pid, key)``: two threads of one process storing the same key
-        used to race on a shared tmp path, and one could rename the
-        other's half-written file into place.  The data is fsynced
-        before the rename and the directory entry after it, so a crash
-        at any point leaves either the old entry or the complete new
-        one -- never a torn file.
-        """
-        path = self.path_for(key)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
-        try:
-            with os.fdopen(fd, "w") as fp:
-                fp.write(canonical_json(payload))
-                fp.flush()
-                os.fsync(fp.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        try:
-            dir_fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        """Durably persist one entry (see :func:`atomic_write_json`)."""
+        atomic_write_json(self.path_for(key), payload)
 
     def delete(self, key: str) -> bool:
         try:
@@ -420,24 +412,21 @@ def execute_point(
 ) -> Dict[str, object]:
     """Simulate one point and return its serialized payload.
 
-    Runs in worker processes; must stay importable at module top level
-    (``ProcessPoolExecutor`` pickles the function reference, not the
-    closure).  ``with_digest`` additionally runs the PR-1 tracer and
-    embeds the sha256 trace digest, so equivalence tests can compare
-    event-level behaviour across worker layouts, not just aggregates.
+    ``with_digest`` additionally runs the PR-1 tracer and embeds the
+    sha256 trace digest, so equivalence tests can compare event-level
+    behaviour across worker layouts, not just aggregates.
 
     ``point`` is usually a :class:`RunPoint`, but any object exposing
     ``key``/``label``/``execute`` works (see :func:`_run_point`); the
     sweep machinery -- store, retry, timeout -- is point-kind agnostic.
 
     ``timeout_s`` arms a wall-clock budget and raises
-    :class:`PointTimeout` when it expires.  Pool futures cannot be
-    cancelled once running, so the budget is enforced from *inside*
-    this call, and -- unlike the original ``SIGALRM`` implementation --
-    it works anywhere: on the main thread a watchdog timer interrupts
-    the simulation between bytecodes; off the main thread (work-queue
-    drain loops, threaded embedders) the point runs in a sidecar thread
-    joined with a deadline.
+    :class:`PointTimeout` when it expires.  The budget is enforced from
+    *inside* this call, and -- unlike the original ``SIGALRM``
+    implementation -- it works anywhere: on the main thread a watchdog
+    timer interrupts the simulation between bytecodes; off the main
+    thread (work-queue drain loops, threaded embedders) the point runs
+    in a sidecar thread joined with a deadline.
     """
     if timeout_s is None:
         return _run_point(point, with_digest)
@@ -502,6 +491,15 @@ def _failure_reason(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _stored(store: ResultStore, key: str) -> Optional[Dict[str, object]]:
+    """The entry for ``key`` if it is complete and current, else None
+    (a torn or stale entry counts as a miss and re-simulates)."""
+    cached = store.get(key)
+    if cached is not None and cached.get("schema") == STORE_SCHEMA_VERSION:
+        return cached
+    return None
+
+
 def run_sweep(
     points: Iterable[RunPoint],
     workers: Optional[int] = None,
@@ -510,129 +508,76 @@ def run_sweep(
     with_digest: bool = False,
     progress: Optional[Callable[[str], None]] = None,
     timeout_s: Optional[float] = None,
+    queue_root: Optional[str] = None,
 ) -> SweepResult:
-    """Execute every point, in parallel, resuming from the store.
+    """Execute every point, resuming from the store.
 
     ``resume=False`` ignores (but still refreshes) existing store
-    entries.  ``workers`` defaults to ``DORAM_SWEEP_WORKERS`` or the
-    CPU count; ``workers <= 1`` runs serially in-process, which the
-    equivalence tests use as the reference execution.
+    entries.  ``workers`` defaults to the CPU count.  ``workers <= 1``
+    with no ``queue_root`` runs serially in-process, which the
+    equivalence tests use as the reference execution; every other call
+    drains a work queue (:func:`_drain_queue`) with ``workers`` local
+    processes.  ``queue_root`` names that queue's directory so workers
+    elsewhere can ``--join`` it; without one the queue lives in a
+    temporary directory.
 
     ``timeout_s`` bounds each point's wall clock (see
     :func:`execute_point`).  A point that times out or raises gets
     exactly one more attempt; if that also fails, the sweep *keeps
     going* and records the point in :attr:`SweepResult.failed` instead
-    of hanging or tearing down the pool -- the caller decides whether a
-    partial sweep is fatal.
+    of hanging -- the caller decides whether a partial sweep is fatal.
     """
     points = dedup_points(points)
     if workers is None:
         workers = default_workers()
     started = time.monotonic()
-    payloads: Dict[RunPoint, Dict[str, object]] = {}
-    failed: Dict[RunPoint, str] = {}
-    retried = 0
-    keys = {point: point.key(with_digest) for point in points}
+    if workers > 1 or queue_root is not None:
+        payloads, hits, failed, retried = _drain_queue(
+            points, workers, store, resume, with_digest, progress,
+            timeout_s, queue_root,
+        )
+    else:
+        payloads: Dict[RunPoint, Dict[str, object]] = {}
+        failed: Dict[RunPoint, str] = {}
+        retried = 0
+        keys = {point: point.key(with_digest) for point in points}
 
-    todo: List[RunPoint] = []
-    hits = 0
-    for point in points:
-        cached = store.get(keys[point]) if (store and resume) else None
-        if cached is not None and cached.get("schema") == STORE_SCHEMA_VERSION:
-            payloads[point] = cached
-            hits += 1
-        else:
-            todo.append(point)
-    if progress and hits:
-        progress(f"store: {hits}/{len(points)} points already simulated")
+        todo: List[RunPoint] = []
+        hits = 0
+        for point in points:
+            cached = _stored(store, keys[point]) \
+                if (store and resume) else None
+            if cached is not None:
+                payloads[point] = cached
+                hits += 1
+            else:
+                todo.append(point)
+        if progress and hits:
+            progress(f"store: {hits}/{len(points)} points already "
+                     f"simulated")
 
-    def _record(point: RunPoint, payload: Dict[str, object]) -> None:
-        payloads[point] = payload
-        if store is not None:
-            store.put(keys[point], payload)
-
-    if todo:
-        if workers <= 1 or len(todo) == 1:
-            for i, point in enumerate(todo):
+        for i, point in enumerate(todo):
+            if progress:
+                progress(f"run {i + 1}/{len(todo)}: {point.label}")
+            try:
+                payload = execute_point(point, with_digest, timeout_s)
+            except Exception as exc:  # noqa: BLE001 - retry once
+                retried += 1
                 if progress:
-                    progress(f"run {i + 1}/{len(todo)}: {point.label}")
+                    progress(f"retry {point.label}: "
+                             f"{_failure_reason(exc)}")
                 try:
                     payload = execute_point(point, with_digest, timeout_s)
-                except Exception as exc:  # noqa: BLE001 - retry once
-                    retried += 1
-                    if progress:
-                        progress(
-                            f"retry {point.label}: {_failure_reason(exc)}"
-                        )
-                    try:
-                        payload = execute_point(
-                            point, with_digest, timeout_s
-                        )
-                    except Exception as exc2:  # noqa: BLE001
-                        failed[point] = _failure_reason(exc2)
-                        continue
-                _record(point, payload)
-        else:
-            attempts = {point: 1 for point in todo}
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(execute_point, point, with_digest,
-                                timeout_s): point
-                    for point in todo
-                }
-                pending = set(futures)
-                done_count = 0
-                while pending:
-                    done, pending = wait(pending,
-                                         return_when=FIRST_COMPLETED)
-                    for future in done:
-                        point = futures[future]
-                        try:
-                            payload = future.result()
-                        except Exception as exc:  # noqa: BLE001
-                            if attempts[point] <= 1:
-                                attempts[point] += 1
-                                retried += 1
-                                if progress:
-                                    progress(
-                                        f"retry {point.label}: "
-                                        f"{_failure_reason(exc)}"
-                                    )
-                                try:
-                                    retry = pool.submit(
-                                        execute_point, point,
-                                        with_digest, timeout_s,
-                                    )
-                                except Exception as submit_exc:  # noqa: BLE001
-                                    # Pool already broken: record and
-                                    # keep draining what is left.
-                                    failed[point] = _failure_reason(
-                                        submit_exc
-                                    )
-                                else:
-                                    futures[retry] = point
-                                    pending.add(retry)
-                                    continue
-                            else:
-                                failed[point] = _failure_reason(exc)
-                            done_count += 1
-                            if progress:
-                                progress(
-                                    f"failed {done_count}/{len(todo)}: "
-                                    f"{point.label}: {failed[point]}"
-                                )
-                            continue
-                        _record(point, payload)
-                        done_count += 1
-                        if progress:
-                            progress(
-                                f"done {done_count}/{len(todo)}: "
-                                f"{point.label}"
-                            )
+                except Exception as exc2:  # noqa: BLE001
+                    failed[point] = _failure_reason(exc2)
+                    continue
+            payloads[point] = payload
+            if store is not None:
+                store.put(keys[point], payload)
 
     return SweepResult(
         payloads=payloads,
-        simulated=len(todo) - len(failed),
+        simulated=len(payloads) - hits,
         store_hits=hits,
         workers=workers,
         wall_s=time.monotonic() - started,
@@ -640,3 +585,96 @@ def run_sweep(
         failed=failed,
         retried=retried,
     )
+
+
+def _drain_queue(
+    points: List[RunPoint],
+    workers: int,
+    store: Optional[ResultStore],
+    resume: bool,
+    with_digest: bool,
+    progress: Optional[Callable[[str], None]],
+    timeout_s: Optional[float],
+    queue_root: Optional[str],
+) -> Tuple[Dict[RunPoint, Dict[str, object]], int, Dict[RunPoint, str], int]:
+    """Declare ``points`` in a work queue and drain it locally; returns
+    ``(payloads, store_hits, failed, retried)`` for :func:`run_sweep`.
+
+    The queue drains straight into the caller's store when resuming
+    from it.  Otherwise it drains into a private store inside the queue
+    directory, and the payloads are then copied into the caller's store
+    (if any): a fresh store is what ``resume=False`` means.  A shared
+    ``queue_root`` is itself resumable, so it refuses ``resume=False``.
+
+    Up to ``workers`` processes drain the queue -- none when at most
+    one point is left, which then runs in this process -- followed by
+    one serial pass that heals anything a crashed worker abandoned.
+    """
+    import multiprocessing
+    import shutil
+
+    from repro.analysis.workqueue import WorkQueue, _drain_entry, \
+        default_owner
+
+    if queue_root is not None and not resume:
+        raise ValueError(
+            "resume=False cannot drain a shared queue directory: its "
+            "store already holds every point a previous drain finished"
+        )
+    shared = store is not None and resume
+    root = queue_root if queue_root is not None \
+        else tempfile.mkdtemp(prefix="doram-queue-")
+    try:
+        queue = WorkQueue.create(
+            root, points,
+            store_root=os.path.abspath(store.root) if shared else "store",
+            with_digest=with_digest, timeout_s=timeout_s,
+        )
+        hits = 0
+        for point in queue.points:
+            key = queue.key_for(point)
+            if _stored(queue.store, key) is not None:
+                hits += 1
+            else:
+                # A torn entry would read as done to the drain.
+                queue.store.delete(key)
+        if progress and hits:
+            progress(f"store: {hits}/{len(points)} points already "
+                     f"simulated")
+
+        local = min(workers, len(points) - hits)
+        owner = default_owner()
+        if local > 1:
+            owners = [f"{owner}-w{i}" for i in range(local)]
+            procs = [
+                multiprocessing.Process(target=_drain_entry,
+                                        args=(root, name))
+                for name in owners
+            ]
+            for proc in procs:
+                proc.start()
+            for proc in procs:
+                proc.join()
+            # A worker that crashed outright (non-zero exit) left stale
+            # leases; one serial pass heals anything it abandoned.
+            stats = queue.stats()
+            if stats.pending or stats.leased:
+                owners.append(f"{owner}-heal")
+                queue.lease_ttl_s = 0.0
+                queue.drain(owner=owners[-1], progress=progress)
+        else:
+            owners = [owner]
+            queue.drain(owner=owner, progress=progress)
+
+        collected = queue.collect()
+        retried = sum(
+            int(row.get("retried", 0)) for row in queue.stats().workers
+            if row.get("owner") in owners
+        )
+        if store is not None and not shared:
+            for point, payload in collected.payloads.items():
+                store.put(queue.key_for(point), payload)
+    finally:
+        if queue_root is None:
+            shutil.rmtree(root, ignore_errors=True)
+    return collected.payloads, hits, collected.failed, retried

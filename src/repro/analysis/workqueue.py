@@ -46,17 +46,17 @@ from __future__ import annotations
 import json
 import os
 import socket
-import tempfile
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.sweep import (
     ResultStore,
     RunPoint,
     SweepResult,
+    atomic_write_json,
     canonical_json,
     dedup_points,
     execute_point,
@@ -89,30 +89,13 @@ class WorkQueueError(RuntimeError):
     """Queue-directory misuse: missing/yet-unwritten/foreign manifest."""
 
 
-def _atomic_write_json(path: str, payload: Dict[str, object]) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
-    try:
-        with os.fdopen(fd, "w") as fp:
-            fp.write(canonical_json(payload))
-            fp.flush()
-            os.fsync(fp.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 #: Non-RunPoint sweep axes a manifest can round-trip, keyed by the
 #: ``kind`` tag their ``to_manifest`` emits.  Values are lazy import
 #: targets so the queue layer never pays for (or cycles with) the
 #: heavier point modules.
 _POINT_KINDS: Dict[str, Tuple[str, str]] = {
     "chaos": ("repro.faults.campaign", "FaultPoint"),
+    "scenario": ("repro.scenarios.sweep", "ScenarioPoint"),
 }
 
 
@@ -286,7 +269,7 @@ class WorkQueue:
                     f"fresh queue directory or delete the old manifest"
                 )
         else:
-            _atomic_write_json(path, manifest)
+            atomic_write_json(path, manifest)
         return cls(root, manifest)
 
     @classmethod
@@ -397,7 +380,7 @@ class WorkQueue:
         own marker.
         """
         name = f"{key}.attempt-{owner}-{uuid.uuid4().hex[:8]}"
-        _atomic_write_json(
+        atomic_write_json(
             os.path.join(self.root, FAILED_DIR, name),
             {"owner": owner, "reason": reason, "time": time.time()},
         )
@@ -412,7 +395,7 @@ class WorkQueue:
         return sum(1 for name in names if name.startswith(prefix))
 
     def mark_failed(self, key: str, owner: str, reason: str) -> None:
-        _atomic_write_json(self._failed_marker(key), {
+        atomic_write_json(self._failed_marker(key), {
             "owner": owner,
             "reason": reason,
             "attempts": self.attempt_count(key),
@@ -453,7 +436,7 @@ class WorkQueue:
     def write_worker_status(self, owner: str, result: DrainResult,
                             started: float) -> None:
         elapsed = max(time.time() - started, 1e-9)
-        _atomic_write_json(self._worker_status_path(owner), {
+        atomic_write_json(self._worker_status_path(owner), {
             "owner": owner,
             "pid": os.getpid(),
             "host": socket.gethostname(),
@@ -636,9 +619,11 @@ class WorkQueue:
     def collect(self) -> SweepResult:
         """Assemble a :class:`SweepResult` from the store after a drain.
 
-        ``simulated``/``store_hits`` describe the queue outcome from the
-        submitting side: everything present was simulated *somewhere*;
-        per-worker attribution lives in the worker status files.
+        Only payloads and failures are filled in: which entries were
+        already stored before the drain is known only to the submitting
+        :func:`~repro.analysis.sweep.run_sweep`, which does the
+        accounting; per-worker attribution lives in the worker status
+        files.
         """
         payloads: Dict[RunPoint, Dict[str, object]] = {}
         failed: Dict[RunPoint, str] = {}
@@ -653,76 +638,14 @@ class WorkQueue:
                 failed[point] = str(marker.get("reason", "unknown"))
         return SweepResult(
             payloads=payloads,
-            simulated=len(payloads),
-            store_hits=0,
             workers=0,
-            wall_s=0.0,
             store_root=self.store.root,
             failed=failed,
         )
 
 
-# ---------------------------------------------------------------------------
-# Multi-process convenience driver
-# ---------------------------------------------------------------------------
-
-
 def _drain_entry(root: str, owner: str) -> None:
-    """Worker-process entry point (module-level for picklability)."""
+    """Worker-process entry point of a local multi-process drain
+    (module-level for picklability)."""
     queue = WorkQueue.join(root)
     queue.drain(owner=owner)
-
-
-def run_queue_sweep(
-    points: Sequence[RunPoint],
-    root: str,
-    workers: int = 2,
-    store_root: str = "store",
-    with_digest: bool = False,
-    timeout_s: Optional[float] = None,
-    lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Tuple[SweepResult, WorkQueue]:
-    """Create (or resume) a queue under ``root`` and drain it with
-    ``workers`` local processes.
-
-    The same queue directory can simultaneously be drained by workers
-    on other hosts via ``WorkQueue.join``; this helper is the
-    single-host ergonomic path behind ``doram sweep --queue``.
-    """
-    import multiprocessing
-
-    queue = WorkQueue.create(
-        root, points, store_root=store_root, with_digest=with_digest,
-        timeout_s=timeout_s, lease_ttl_s=lease_ttl_s,
-    )
-    started = time.monotonic()
-    if workers <= 1:
-        queue.drain(owner=default_owner(), progress=progress)
-    else:
-        procs = []
-        for index in range(workers):
-            proc = multiprocessing.Process(
-                target=_drain_entry,
-                args=(root, f"{default_owner()}-w{index}"),
-                daemon=False,
-            )
-            proc.start()
-            procs.append(proc)
-        for proc in procs:
-            proc.join()
-        # A worker that crashed outright (non-zero exit) left stale
-        # leases; one serial pass heals anything it abandoned.
-        stats = queue.stats()
-        if stats.pending or stats.leased:
-            ttl = queue.lease_ttl_s
-            try:
-                queue.lease_ttl_s = 0.0
-                queue.drain(owner=f"{default_owner()}-heal",
-                            progress=progress)
-            finally:
-                queue.lease_ttl_s = ttl
-    result = queue.collect()
-    result.workers = workers
-    result.wall_s = time.monotonic() - started
-    return result, queue

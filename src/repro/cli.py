@@ -420,50 +420,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         error = f"--timeout must be >= 0 (got {args.timeout:g})"
     if error:
         return _fail(error)
+    if args.queue and args.store == "none":
+        return _fail("--queue needs a result store (drop --store none)")
+    if args.queue and args.no_resume:
+        return _fail("--no-resume cannot be combined with --queue: the "
+                     "queue's store is what resume means there")
     workers = args.workers if args.workers else default_workers()
     store = ResultStore(args.store) if args.store != "none" else None
     progress = (lambda msg: print(f"  {msg}", flush=True)) \
         if args.verbose else None
-
-    if args.queue:
-        if store is None:
-            return _fail("--queue needs a result store "
-                         "(drop --store none)")
-        from repro.analysis.workqueue import run_queue_sweep
-
-        points: List = []
-        for name in names:
-            points.extend(
-                experiments.figure_points(name, benchmarks,
-                                          args.trace_length)
-            )
-        sweep, _queue = run_queue_sweep(
-            points, args.queue, workers=workers,
-            store_root=os.path.abspath(store.root),
-            timeout_s=args.timeout or None, progress=progress,
-        )
-        _print_sweep_summary(sweep, store)
-        if sweep.failed:
-            print(f"sweep: {len(sweep.failed)} point(s) FAILED after "
-                  f"retry:", file=sys.stderr)
-            for point, reason in sweep.failed.items():
-                print(f"  {point.label}: {reason}", file=sys.stderr)
-            return 1
-        # The drain filled the store; the drivers now evaluate against
-        # pure store hits.
-        outputs, _ = experiments.run_figures(
-            names, benchmarks, args.trace_length,
-            workers=1, store=store, resume=True,
-        )
-        for name in names:
-            _print_experiment(name, outputs[name])
-        return 0
 
     try:
         outputs, sweep = experiments.run_figures(
             names, benchmarks, args.trace_length,
             workers=workers, store=store, resume=not args.no_resume,
             progress=progress, timeout_s=args.timeout or None,
+            queue_root=args.queue or None,
         )
     except SweepFailure as failure:
         sweep = failure.sweep_result
@@ -536,7 +508,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         apply_overrides,
         format_report,
         run_scenario,
-        run_slo_sweep,
         scenario_grid,
         slo_rows,
     )
@@ -579,7 +550,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         faults = FaultController(plan)
 
     if args.sweep_tenants or args.sweep_rates:
-        from repro.analysis.sweep import ResultStore, default_workers
+        from repro.analysis.sweep import ResultStore, default_workers, \
+            run_sweep
 
         tenants = [int(v) for v in args.sweep_tenants.split(",") if v] \
             or [args.tenants]
@@ -590,7 +562,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         points = scenario_grid(tenants, rates, base)
         store = ResultStore(args.store) if args.store != "none" else None
         workers = args.workers if args.workers else default_workers()
-        sweep = run_slo_sweep(points, workers=workers, store=store)
+        sweep = run_sweep(points, workers=workers, store=store)
         _print_sweep_summary(sweep, store)
         rows = slo_rows(sweep)
         print(_format_table(
@@ -677,7 +649,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print("\n".join(spec.describe()))
         return 0
 
-    from repro.analysis.sweep import ResultStore, default_workers
+    if args.queue and args.store == "none":
+        return _fail("--queue needs a result store (drop --store none)")
+
+    from repro.analysis.sweep import ResultStore, default_workers, run_sweep
 
     points = spec.grid()
     store = ResultStore(args.store) if args.store != "none" else None
@@ -706,26 +681,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         sweep = None
         wall_s = 0.0
     else:
-        if args.queue:
-            if store is None:
-                return _fail("--queue needs a result store "
-                             "(drop --store none)")
-            from repro.analysis.workqueue import run_queue_sweep
-
-            sweep, _queue = run_queue_sweep(
-                points, args.queue, workers=workers,
-                store_root=os.path.abspath(store.root),
-                with_digest=args.digest,
-                timeout_s=args.timeout or None, progress=progress,
-            )
-        else:
-            from repro.analysis.sweep import run_sweep
-
-            sweep = run_sweep(
-                points, workers=workers, store=store,
-                with_digest=args.digest,
-                timeout_s=args.timeout or None, progress=progress,
-            )
+        sweep = run_sweep(
+            points, workers=workers, store=store,
+            with_digest=args.digest,
+            timeout_s=args.timeout or None, progress=progress,
+            queue_root=args.queue or None,
+        )
         _print_sweep_summary(sweep, store)
         if sweep.failed:
             for point, error in sweep.failed.items():
@@ -902,12 +863,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated benchmark codes (default: all)")
     p_sweep.add_argument("--trace-length", type=int, default=None)
     p_sweep.add_argument("--workers", type=int, default=0,
-                         help="worker processes (default: "
-                              "$DORAM_SWEEP_WORKERS or the CPU count)")
+                         help="worker processes (default: the CPU "
+                              "count)")
     p_sweep.add_argument("--store", default=None,
                          help="result-store directory (default: "
-                              "$DORAM_SWEEP_STORE or .doram-sweep; "
-                              "'none' disables the store)")
+                              ".doram-sweep; 'none' disables the store)")
     p_sweep.add_argument("--no-resume", action="store_true",
                          help="re-simulate every point even if stored")
     p_sweep.add_argument("--timeout", type=float, default=0.0,

@@ -6,15 +6,15 @@ The contract under test (see DESIGN.md "Sweep runner"):
   payload bytes, same PR-1 trace digests;
 * the on-disk store makes sweeps resumable: killing a sweep halfway
   loses only the unfinished points, and a warm store re-simulates
-  nothing;
-* ``cached_run`` resolves ``DORAM_TRACE_LENGTH`` when called, not when
-  imported (regression: the memo used to bake in the import-time value);
+  nothing -- serially and through the work queue alike;
+* the trace length comes from arguments only, never the environment;
 * :func:`~repro.analysis.experiments.figure_points` declares *every*
   run its figure driver performs -- primed drivers never simulate.
 """
 
 import json
 import os
+import tempfile
 
 import pytest
 
@@ -23,7 +23,6 @@ from repro.analysis import sweep as sweep_mod
 from repro.analysis.experiments import (
     ALL_FIGURES,
     FIGURE_DRIVERS,
-    cached_run,
     clear_cache,
     figure_points,
     points_for_figures,
@@ -84,6 +83,21 @@ class TestParallelSerialEquivalence:
         for point in points:
             assert canonical_json(live.payloads[point]) == \
                 canonical_json(warm.payloads[point])
+
+    def test_private_queue_leaves_nothing_behind(self, tmp_path,
+                                                 monkeypatch):
+        """Without a queue_root or store, the queue and its store live
+        in a temporary directory that is removed after collection."""
+        scratch = tmp_path / "tmp"
+        cwd = tmp_path / "cwd"
+        scratch.mkdir()
+        cwd.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.chdir(cwd)
+        sweep = run_sweep(_fig9_points()[:2], workers=2, store=None)
+        assert sweep.simulated == 2 and not sweep.failed
+        assert list(scratch.iterdir()) == []
+        assert list(cwd.iterdir()) == []
 
     def test_deserialized_results_match_live_run(self):
         """SimResult.from_json_dict round-trips the exact-integer state."""
@@ -147,6 +161,22 @@ class TestResume:
         warm = run_sweep(points, workers=1, store=store)
         assert warm.simulated == 0
         assert warm.store_hits == len(dedup_points(points))
+
+    @pytest.mark.parametrize("shared_queue", [False, True])
+    def test_warm_queue_drain_counts_store_hits(self, tmp_path,
+                                                shared_queue):
+        """The queue path's accounting matches the serial loop's: a
+        warm store is all hits, nothing simulated."""
+        points = _fig9_points()[:3]
+        store = ResultStore(str(tmp_path / "store"))
+        queue_root = str(tmp_path / "q") if shared_queue else None
+        cold = run_sweep(points, workers=2, store=store,
+                         queue_root=queue_root)
+        assert (cold.simulated, cold.store_hits) == (3, 0)
+        warm = run_sweep(points, workers=2, store=store,
+                         queue_root=queue_root)
+        assert (warm.simulated, warm.store_hits) == (0, 3)
+        assert warm.payloads == cold.payloads
 
     def test_no_resume_refreshes_but_ignores_entries(self, tmp_path):
         point = RunPoint("baseline", "li", LENGTH)
@@ -216,26 +246,16 @@ class TestResultStore:
 
 
 # ---------------------------------------------------------------------------
-# cached_run env resolution (regression)
+# Scale comes from arguments, not the environment
 # ---------------------------------------------------------------------------
 
 
-class TestCachedRunEnv:
-    def test_trace_length_env_resolved_at_call_time(self, monkeypatch):
+class TestTraceLengthDefault:
+    def test_environment_does_not_set_the_default(self, monkeypatch):
         monkeypatch.setenv("DORAM_TRACE_LENGTH", "70")
-        first = cached_run("1ns", "li")
-        assert first.config.trace_length == 70
-        # Changing the env mid-process must reach the next call -- the
-        # old code froze the import-time value into the memo key.
-        monkeypatch.setenv("DORAM_TRACE_LENGTH", "90")
-        second = cached_run("1ns", "li")
-        assert second.config.trace_length == 90
-        assert first is not second
-
-    def test_explicit_length_beats_env(self, monkeypatch):
-        monkeypatch.setenv("DORAM_TRACE_LENGTH", "70")
-        run = cached_run("1ns", "li", trace_length=LENGTH)
-        assert run.config.trace_length == LENGTH
+        points = figure_points("fig8", BENCH)
+        assert {p.trace_length for p in points} == \
+            {experiments.DEFAULT_TRACE_LENGTH}
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,7 @@ import pytest
 
 from repro.analysis import workqueue as wq_mod
 from repro.analysis.sweep import ResultStore, RunPoint, run_sweep
-from repro.analysis.workqueue import (
-    WorkQueue,
-    WorkQueueError,
-    run_queue_sweep,
-)
+from repro.analysis.workqueue import WorkQueue, WorkQueueError
 
 LENGTH = 100
 
@@ -310,10 +306,11 @@ class TestMultiProcess:
         serial_store = ResultStore(str(tmp_path / "serial"))
         run_sweep(points, workers=1, store=serial_store)
 
-        result, queue = run_queue_sweep(
-            points, str(tmp_path / "q"), workers=3
-        )
+        result = run_sweep(points, workers=3, store=None,
+                           queue_root=str(tmp_path / "q"))
+        queue = WorkQueue.join(str(tmp_path / "q"))
         assert not result.failed
+        assert (result.simulated, result.store_hits) == (len(points), 0)
         assert set(result.payloads) == set(points)
         assert _store_bytes(queue.store) == _store_bytes(serial_store)
         # Per-worker attribution: every point was completed exactly once

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.analysis.report import slo_markdown
-from repro.analysis.sweep import ResultStore, execute_point
+from repro.analysis.sweep import ResultStore, execute_point, run_sweep
+from repro.analysis.workqueue import WorkQueue
 from repro.scenarios import (
     ScenarioConfig,
     ScenarioPoint,
-    run_slo_sweep,
     scenario_grid,
     slo_rows,
 )
@@ -68,21 +68,32 @@ class TestScenarioPoint:
         assert payload == point.execute(False)
 
 
+    def test_manifest_round_trip(self, tmp_path):
+        """A work queue can carry scenario points: the manifest entry
+        rebuilds an equal point with the same content address."""
+        points = scenario_grid([1, 2], [1e5, 2.5e5], base_overrides=FAST)
+        WorkQueue.create(str(tmp_path / "q"), points)
+        queue = WorkQueue.join(str(tmp_path / "q"))
+        assert queue.points == points
+        assert [p.key() for p in queue.points] == [p.key() for p in points]
+        assert points[0].to_manifest()["kind"] == "scenario"
+
+
 class TestSloSweep:
     def test_sweep_then_resume_hits_store(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        first = run_slo_sweep(_grid(), workers=1, store=store,
+        first = run_sweep(_grid(), workers=1, store=store,
                               timeout_s=300.0)
         assert first.simulated == 2 and first.store_hits == 0
         assert not first.failed
-        again = run_slo_sweep(_grid(), workers=1, store=store,
+        again = run_sweep(_grid(), workers=1, store=store,
                               timeout_s=300.0)
         assert again.simulated == 0 and again.store_hits == 2
         assert {p.key() for p in first.payloads} == \
             {p.key() for p in again.payloads}
 
     def test_slo_rows_complete_and_sorted(self, tmp_path):
-        result = run_slo_sweep(
+        result = run_sweep(
             scenario_grid([2, 1], [3e5, 2e5], base_overrides=FAST),
             workers=1, store=ResultStore(str(tmp_path)), timeout_s=300.0,
         )
@@ -97,7 +108,7 @@ class TestSloSweep:
             assert row["report_digest"]
 
     def test_slo_markdown_renders(self, tmp_path):
-        result = run_slo_sweep(_grid(), workers=1,
+        result = run_sweep(_grid(), workers=1,
                                store=ResultStore(str(tmp_path)),
                                timeout_s=300.0)
         text = slo_markdown(slo_rows(result))
@@ -109,8 +120,8 @@ class TestSloSweep:
 @pytest.mark.slow
 class TestSloSweepParallel:
     def test_two_workers_match_serial(self, tmp_path):
-        serial = run_slo_sweep(_grid(), workers=1, timeout_s=300.0)
-        parallel = run_slo_sweep(_grid(), workers=2, timeout_s=300.0)
+        serial = run_sweep(_grid(), workers=1, timeout_s=300.0)
+        parallel = run_sweep(_grid(), workers=2, timeout_s=300.0)
         serial_digests = {p.key(): pay["report_digest"]
                           for p, pay in serial.payloads.items()}
         parallel_digests = {p.key(): pay["report_digest"]

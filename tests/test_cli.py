@@ -316,12 +316,13 @@ class TestSweepQueueModes:
     ):
         queue = str(tmp_path / "queue")
         store = str(tmp_path / "store")
-        code = main(["sweep", "--figures", "fig10", "--benchmarks", "li",
-                     "--trace-length", "120", "--workers", "2",
-                     "--queue", queue, "--store", store])
-        assert code == 0
+        argv = ["sweep", "--figures", "fig10", "--benchmarks", "li",
+                "--trace-length", "120", "--workers", "2",
+                "--queue", queue, "--store", store]
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "Fig. 10" in out  # drivers evaluated from store hits
+        assert "(4 simulated, 0 from store)" in out
+        assert "Fig. 10" in out
 
         assert main(["sweep", "--status", queue]) == 0
         status = capsys.readouterr().out
@@ -332,6 +333,19 @@ class TestSweepQueueModes:
                      "--worker-id", "late"]) == 0
         joined = capsys.readouterr().out
         assert "worker late: 0 completed" in joined
+
+        # Re-declaring over the full store simulates nothing.
+        assert main(argv) == 0
+        assert "(0 simulated, 4 from store)" in capsys.readouterr().out
+
+    def test_queue_refuses_no_resume(self, capsys, tmp_path):
+        code = main(["sweep", "--figures", "fig9", "--benchmarks", "li",
+                     "--trace-length", "100", "--no-resume",
+                     "--queue", str(tmp_path / "q"),
+                     "--store", str(tmp_path / "s")])
+        assert code == 2
+        assert "--no-resume" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()
 
 
 class TestExploreCommand:
@@ -359,6 +373,19 @@ class TestExploreCommand:
     def test_rejects_unknown_benchmark(self, capsys):
         assert main(["explore", "--benchmark", "zz"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
+
+    def test_queue_with_one_worker_is_joinable(self, capsys, tmp_path):
+        from repro.analysis.workqueue import WorkQueue
+
+        queue = tmp_path / "q"
+        code = main(["explore", "--grid", "smoke",
+                     "--trace-length", "150", "--workers", "1",
+                     "--budget-frac", "0.5", "--max-rounds", "1",
+                     "--queue", str(queue),
+                     "--store", str(tmp_path / "store")])
+        assert code == 0
+        joined = WorkQueue.join(str(queue / "batch-000"))
+        assert joined.stats().done == len(joined.points) > 0
 
     def test_smoke_explore_writes_reports_and_bench(
         self, capsys, tmp_path
