@@ -1,22 +1,29 @@
 """AES-128 block cipher, implemented from the FIPS-197 specification.
 
-Pure Python, table-driven.  The S-box is derived (multiplicative inverse
-in GF(2^8) followed by the affine transform) rather than transcribed, and
-the implementation is validated against the FIPS-197 Appendix C known
-answer test in the test suite.
+Pure Python, using the standard 32-bit T-table formulation: the state is
+four big-endian column words, and each of the nine full rounds is sixteen
+lookups into four 256-word tables (``Te0..Te3``, one per byte position)
+that fold SubBytes, ShiftRows and MixColumns together.  The final round
+is a plain S-box pass.  The S-box itself is derived (multiplicative
+inverse in GF(2^8) via log/antilog tables, then the affine transform)
+rather than transcribed, and the tables are built from it at import.
 
-This is the cipher behind the paper's Eq. (1) OTP generation; the secure
-engine and the delegator would use a hardware pipeline, so speed is not a
-goal here -- correctness and auditability are.
+Only encryption is implemented: the cipher runs in counter mode, which
+never decrypts.  ``tests/crypto/aes_reference.py`` keeps a byte-wise
+transcription of the specification (with the inverse cipher) as the
+differential oracle, and the suite checks the FIPS-197 Appendix C and
+NIST SP 800-38A CTR known answers.
+
+This is the cipher behind the paper's Eq. (1) OTP generation.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import struct
+from typing import List
 
-# ---------------------------------------------------------------------------
-# GF(2^8) arithmetic and table construction
-# ---------------------------------------------------------------------------
+_M64 = 0xFFFFFFFFFFFFFFFF
+_BLOCK = struct.Struct(">4I")
 
 
 def _xtime(a: int) -> int:
@@ -27,28 +34,19 @@ def _xtime(a: int) -> int:
     return a & 0xFF
 
 
-def gf_mul(a: int, b: int) -> int:
-    """Full GF(2^8) multiplication (used by MixColumns and tests)."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a = _xtime(a)
-        b >>= 1
-    return result
-
-
 def _build_sbox() -> List[int]:
-    # Multiplicative inverses via exhaustive scan (256 elements, done once).
-    inverse = [0] * 256
-    for x in range(1, 256):
-        for y in range(1, 256):
-            if gf_mul(x, y) == 1:
-                inverse[x] = y
-                break
+    # Powers of the generator {03} give log/antilog tables; the inverse
+    # of g^i is g^(255 - i).
+    exp = [0] * 255
+    log = [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i] = x
+        log[x] = i
+        x ^= _xtime(x)
     sbox = []
     for x in range(256):
-        b = inverse[x]
+        b = exp[-log[x] % 255] if x else 0
         # Affine transform: b ^ rotl(b,1..4) ^ 0x63.
         value = b
         for shift in range(1, 5):
@@ -58,19 +56,25 @@ def _build_sbox() -> List[int]:
 
 
 SBOX: List[int] = _build_sbox()
-INV_SBOX: List[int] = [0] * 256
-for _i, _v in enumerate(SBOX):
-    INV_SBOX[_v] = _i
+
+
+def _ror8(w: int) -> int:
+    return (w >> 8) | ((w & 0xFF) << 24)
+
+
+# Te0[x] is the MixColumns column ({02}s, s, s, {03}s) for s = SBOX[x];
+# Te1..Te3 are its byte rotations, one per source row.
+_TE0 = [(_xtime(s) << 24) | (s << 16) | (s << 8) | (_xtime(s) ^ s)
+        for s in SBOX]
+_TE1 = [_ror8(w) for w in _TE0]
+_TE2 = [_ror8(w) for w in _TE1]
+_TE3 = [_ror8(w) for w in _TE2]
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
 
 class AES128:
-    """AES with a 128-bit key: ``encrypt_block`` / ``decrypt_block``.
-
-    The state is kept as a 16-byte list in column-major order, as in the
-    specification.
-    """
+    """AES with a 128-bit key: ``encrypt_block`` and the CTR ``keystream``."""
 
     BLOCK_BYTES = 16
 
@@ -79,111 +83,67 @@ class AES128:
             raise ValueError("AES-128 requires a 16-byte key")
         self.round_keys = self._expand_key(key)
 
-    # ------------------------------------------------------------------
     @staticmethod
-    def _expand_key(key: bytes) -> List[List[int]]:
-        """FIPS-197 key schedule: 11 round keys of 16 bytes each."""
-        words: List[List[int]] = [list(key[4 * i: 4 * i + 4]) for i in range(4)]
+    def _expand_key(key: bytes) -> List[int]:
+        """FIPS-197 key schedule: 44 big-endian words, four per round."""
+        words = list(_BLOCK.unpack(key))
         for i in range(4, 44):
-            temp = list(words[i - 1])
+            temp = words[i - 1]
             if i % 4 == 0:
-                temp = temp[1:] + temp[:1]            # RotWord
-                temp = [SBOX[b] for b in temp]        # SubWord
-                temp[0] ^= _RCON[i // 4 - 1]
-            words.append([a ^ b for a, b in zip(words[i - 4], temp)])
-        return [
-            sum((words[4 * r + c] for c in range(4)), [])
-            for r in range(11)
-        ]
+                temp = ((SBOX[(temp >> 16) & 0xFF] << 24)      # RotWord +
+                        | (SBOX[(temp >> 8) & 0xFF] << 16)     # SubWord
+                        | (SBOX[temp & 0xFF] << 8)
+                        | SBOX[temp >> 24]) ^ (_RCON[i // 4 - 1] << 24)
+            words.append(words[i - 4] ^ temp)
+        return words
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _add_round_key(state: List[int], rk: Sequence[int]) -> None:
-        for i in range(16):
-            state[i] ^= rk[i]
-
-    @staticmethod
-    def _sub_bytes(state: List[int], box: Sequence[int]) -> None:
-        for i in range(16):
-            state[i] = box[state[i]]
-
-    @staticmethod
-    def _shift_rows(state: List[int], inverse: bool = False) -> None:
-        # state[col*4 + row]; row r rotates left by r (right when inverse).
-        for row in range(1, 4):
-            values = [state[col * 4 + row] for col in range(4)]
-            shift = -row if inverse else row
-            values = values[shift % 4:] + values[: shift % 4]
-            for col in range(4):
-                state[col * 4 + row] = values[col]
-
-    @staticmethod
-    def _mix_columns(state: List[int]) -> None:
-        for col in range(4):
-            a = state[col * 4: col * 4 + 4]
-            state[col * 4 + 0] = gf_mul(a[0], 2) ^ gf_mul(a[1], 3) ^ a[2] ^ a[3]
-            state[col * 4 + 1] = a[0] ^ gf_mul(a[1], 2) ^ gf_mul(a[2], 3) ^ a[3]
-            state[col * 4 + 2] = a[0] ^ a[1] ^ gf_mul(a[2], 2) ^ gf_mul(a[3], 3)
-            state[col * 4 + 3] = gf_mul(a[0], 3) ^ a[1] ^ a[2] ^ gf_mul(a[3], 2)
-
-    @staticmethod
-    def _inv_mix_columns(state: List[int]) -> None:
-        for col in range(4):
-            a = state[col * 4: col * 4 + 4]
-            state[col * 4 + 0] = (gf_mul(a[0], 14) ^ gf_mul(a[1], 11)
-                                  ^ gf_mul(a[2], 13) ^ gf_mul(a[3], 9))
-            state[col * 4 + 1] = (gf_mul(a[0], 9) ^ gf_mul(a[1], 14)
-                                  ^ gf_mul(a[2], 11) ^ gf_mul(a[3], 13))
-            state[col * 4 + 2] = (gf_mul(a[0], 13) ^ gf_mul(a[1], 9)
-                                  ^ gf_mul(a[2], 14) ^ gf_mul(a[3], 11))
-            state[col * 4 + 3] = (gf_mul(a[0], 11) ^ gf_mul(a[1], 13)
-                                  ^ gf_mul(a[2], 9) ^ gf_mul(a[3], 14))
-
-    # ------------------------------------------------------------------
     def encrypt_block(self, plaintext: bytes) -> bytes:
         if len(plaintext) != 16:
             raise ValueError("AES block must be 16 bytes")
-        state = list(plaintext)
-        self._add_round_key(state, self.round_keys[0])
-        for round_no in range(1, 10):
-            self._sub_bytes(state, SBOX)
-            self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, self.round_keys[round_no])
-        self._sub_bytes(state, SBOX)
-        self._shift_rows(state)
-        self._add_round_key(state, self.round_keys[10])
-        return bytes(state)
+        rk = self.round_keys
+        te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
+        s0, s1, s2, s3 = _BLOCK.unpack(plaintext)
+        s0 ^= rk[0]
+        s1 ^= rk[1]
+        s2 ^= rk[2]
+        s3 ^= rk[3]
+        for r in range(4, 40, 4):
+            s0, s1, s2, s3 = (
+                te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF]
+                ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ rk[r],
+                te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF]
+                ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ rk[r + 1],
+                te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF]
+                ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ rk[r + 2],
+                te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF]
+                ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ rk[r + 3],
+            )
+        # Final round (no MixColumns): each T-table holds the bare S-box
+        # byte in one lane -- Te2 in the top byte, Te3 next, then Te0, Te1.
+        return _BLOCK.pack(
+            ((te2[s0 >> 24] & 0xFF000000) ^ (te3[(s1 >> 16) & 0xFF] & 0xFF0000)
+             ^ (te0[(s2 >> 8) & 0xFF] & 0xFF00) ^ (te1[s3 & 0xFF] & 0xFF)
+             ^ rk[40]),
+            ((te2[s1 >> 24] & 0xFF000000) ^ (te3[(s2 >> 16) & 0xFF] & 0xFF0000)
+             ^ (te0[(s3 >> 8) & 0xFF] & 0xFF00) ^ (te1[s0 & 0xFF] & 0xFF)
+             ^ rk[41]),
+            ((te2[s2 >> 24] & 0xFF000000) ^ (te3[(s3 >> 16) & 0xFF] & 0xFF0000)
+             ^ (te0[(s0 >> 8) & 0xFF] & 0xFF00) ^ (te1[s1 & 0xFF] & 0xFF)
+             ^ rk[42]),
+            ((te2[s3 >> 24] & 0xFF000000) ^ (te3[(s0 >> 16) & 0xFF] & 0xFF0000)
+             ^ (te0[(s1 >> 8) & 0xFF] & 0xFF00) ^ (te1[s2 & 0xFF] & 0xFF)
+             ^ rk[43]),
+        )
 
-    def decrypt_block(self, ciphertext: bytes) -> bytes:
-        if len(ciphertext) != 16:
-            raise ValueError("AES block must be 16 bytes")
-        state = list(ciphertext)
-        self._add_round_key(state, self.round_keys[10])
-        for round_no in range(9, 0, -1):
-            self._shift_rows(state, inverse=True)
-            self._sub_bytes(state, INV_SBOX)
-            self._add_round_key(state, self.round_keys[round_no])
-            self._inv_mix_columns(state)
-        self._shift_rows(state, inverse=True)
-        self._sub_bytes(state, INV_SBOX)
-        self._add_round_key(state, self.round_keys[0])
-        return bytes(state)
-
-    # ------------------------------------------------------------------
     def keystream(self, nonce: int, counter: int, length: int) -> bytes:
         """CTR-mode keystream: AES(K, nonce || counter..) truncated.
 
         The 16-byte counter block is ``nonce`` (8 bytes, big endian)
         followed by a per-call incrementing 8-byte block counter.
         """
-        out = bytearray()
-        block_index = 0
-        while len(out) < length:
-            block = (
-                (nonce & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
-                + ((counter + block_index) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
-            )
-            out.extend(self.encrypt_block(block))
-            block_index += 1
-        return bytes(out[:length])
+        high = (nonce & _M64) << 64
+        encrypt = self.encrypt_block
+        return b"".join([
+            encrypt((high | ((counter + i) & _M64)).to_bytes(16, "big"))
+            for i in range(-(-length // 16))
+        ])[:length]
