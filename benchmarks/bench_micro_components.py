@@ -10,7 +10,8 @@ import random
 
 from repro.bob.channel import BobChannel
 from repro.core.delegator import OramSequencer, SecureDelegator
-from repro.core.frontend import DelegatorBackend, OramFrontend
+from repro.core.frontend import OramFrontend
+from repro.core.recovery import SecureLinkSession
 from repro.crypto.aes import AES128
 from repro.dram.channel import Channel
 from repro.dram.commands import MemRequest, OpType
@@ -77,7 +78,7 @@ def _link_pacer_run(n_periods=400):
     layout = OramLayout(cfg, home_targets=[(0, 0)])
     controller = OramController(eng, cfg, layout, delegator.sink, seed=1)
     delegator.sequencer = OramSequencer(controller)
-    backend = DelegatorBackend(eng, bob, delegator)
+    backend = SecureLinkSession(eng, delegator, controller)
     frontend = OramFrontend(eng, backend, t_cycles=50)
     done = [0]
 

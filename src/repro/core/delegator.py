@@ -1,11 +1,13 @@
 """The secure delegator (SD) and the access sequencer (Section III-B).
 
 The SD lives next to the secure channel's simple controller.  Triggered by
-an encrypted 72 B packet from the processor, it runs the Path ORAM
-protocol against the untrusted sub-channels, returns a 72 B response when
-the read phase completes, and overlaps the write phase with whatever the
-processor does next.  A request arriving during the write phase is
-buffered and serviced right after it (the paper's timing-control rule).
+an encrypted 72 B request frame from the processor's
+:class:`~repro.core.recovery.SecureLinkSession`, it runs the Path ORAM
+protocol against the untrusted sub-channels, returns a 72 B response
+frame when the read phase completes, and overlaps the write phase with
+whatever the processor does next.  A request arriving during the write
+phase is buffered and serviced right after it (the paper's
+timing-control rule).
 
 With a split tree (D-ORAM+k) some path blocks live on normal channels.
 The SD cannot reach them directly -- it emits explicit messages that the
@@ -111,12 +113,12 @@ class OramSequencer:
 
 
 class _SdResponder:
-    """One armed request's SD-side lifecycle: submit, then respond.
+    """One request frame's SD-side lifecycle: submit, then respond.
 
-    Mirrors the disarmed path exactly -- the submit closure in
-    :meth:`SecureDelegator.receive_request` and the response send in
-    ``_DelegatorOp`` stage 1 -- while recording the per-session
-    completed-sequence state the retransmission protocol needs.
+    Queues the access on the sequencer once the processing delay has
+    elapsed, and when its read phase finishes records the per-session
+    completed-sequence state the retransmission protocol needs and ships
+    the response frame up the secure link.
     """
 
     __slots__ = ("delegator", "session", "seq", "block_id")
@@ -146,33 +148,35 @@ class _SdResponder:
 
 
 class _RemoteOp:
-    """Fault-aware split-tree message chain (armed runs only).
+    """One remote block's split-tree message chain (Section III-C).
 
-    Stage-for-stage identical to the closure chain
-    (``_forward_read`` / ``_return_read`` / ``_forward_write``), plus
-    end-to-end integrity: any hop may mark the op corrupt (a ``remote``
-    link packet fault or a DRAM read flip), and the MAC check where the
-    block is consumed re-runs the whole message sequence, bounded by
-    ``remote_retries``.  Packet drops are not absorbable here -- there
-    is no per-hop ack to recover them -- so the injector counts them as
-    uninjectable and delivers normally.
+    A read is a short read up the secure link, forwarded down the target
+    normal link, the DRAM read, and the 72 B block back up the normal
+    link and down the secure link; a write ships the 72 B block the same
+    way without the return trip.  One object carries itself through
+    every hop, and adds end-to-end integrity: any hop may mark the op
+    corrupt (a ``remote`` link packet fault or a DRAM read flip), and
+    the MAC check where the block is consumed re-runs the whole message
+    sequence, bounded by the plan's ``remote_retries``.  Packet drops
+    are not absorbable here -- there is no per-hop ack to recover them
+    -- so the injector counts them as uninjectable and delivers
+    normally.
     """
 
     __slots__ = ("delegator", "bob", "placement", "op", "on_complete",
-                 "stage", "corrupt", "attempts", "limit")
+                 "stage", "corrupt", "attempts")
 
     def __init__(self, delegator: "SecureDelegator", bob: BobChannel,
                  placement: BlockPlacement, op: OpType,
-                 on_complete: Callable[[int], None], limit: int) -> None:
+                 on_complete: Callable[[int], None], stage: int = 0) -> None:
         self.delegator = delegator
         self.bob = bob
         self.placement = placement
         self.op = op
         self.on_complete = on_complete
-        self.stage = 0
+        self.stage = stage
         self.corrupt = False
         self.attempts = 1
-        self.limit = limit
 
     def link_fault(self, kind: str) -> bool:
         if kind == "corrupt":
@@ -187,10 +191,11 @@ class _RemoteOp:
     def _restart(self) -> None:
         delegator = self.delegator
         self.attempts += 1
-        if self.attempts > self.limit:
+        limit = delegator._faults.recovery.remote_retries
+        if self.attempts > limit:
             raise FaultRecoveryError(
                 f"remote {self.op.name.lower()} chain corrupted "
-                f"{self.limit} times; retry bound exhausted"
+                f"{limit} times; retry bound exhausted"
             )
         self.corrupt = False
         self.stage = 0
@@ -282,12 +287,18 @@ class SecureDelegator:
         name: str = "sd",
         merge_short_reads: bool = False,
         tracer=None,
+        faults=None,
     ) -> None:
         """``merge_short_reads`` enables the paper's footnote-1 future
         work: short read packets destined for the same normal channel
         within one ORAM access are coalesced into a single packet per
         hop (one address list instead of 4k separate headers), cutting
-        the split-tree message count on both links."""
+        the split-tree message count on both links.
+
+        ``faults`` is the run's
+        :class:`~repro.faults.inject.FaultController` (``None`` without
+        a plan); its delegator site, if the plan has one, supplies the
+        stall windows and the crash point."""
         self.engine = engine
         self.secure_bob = secure_bob
         self.normal_bobs = normal_bobs
@@ -308,10 +319,9 @@ class SecureDelegator:
         #: Pending read batches per channel: [(placement, cb), ...].
         self._merge_buffers: Dict[int, List] = {}
         self._merge_flush_scheduled = False
-        #: Recovery-protocol state, populated by :meth:`arm_recovery`.
-        self._recovery = None
-        self._faults = None
-        self._sd_site = None
+        self._faults = faults
+        self._sd_site = faults.sd_site() if faults is not None else None
+        #: Per-session completed/in-service sequence numbers.
         self._frame_state: Dict[object, Dict[str, object]] = {}
         self._stall_buffer: Deque = deque()
         self._stall_wake_scheduled = False
@@ -323,30 +333,23 @@ class SecureDelegator:
         return sequencer.pending if sequencer is not None else 0
 
     # ------------------------------------------------------------------
-    # Recovery protocol (armed only when a fault plan is attached)
+    # Request entry (frames from the processor)
     # ------------------------------------------------------------------
-    def arm_recovery(self, faults) -> None:
-        """Enable the frame endpoint (``repro.core.recovery`` protocol).
+    def receive_request(self, frame) -> None:
+        """Down-link delivery target for request frames.
 
-        ``faults`` is the run's :class:`~repro.faults.inject.FaultController`;
-        its delegator site (if any) supplies stall windows and the crash
-        point.  With recovery armed but no faults firing, the frame path
-        is schedule-identical to :meth:`receive_request`.
+        A stalled SD holds the frame until its window closes; a crashed
+        one drops it (the CPU's deadline and watchdog take it from
+        there).
         """
-        self._recovery = faults.recovery
-        self._faults = faults
-        self._sd_site = faults.sd_site()
-
-    def receive_frame(self, frame) -> None:
-        """Down-link delivery target for recovery-protocol frames."""
+        if self.sequencer is None:
+            raise RuntimeError("delegator not wired to a controller")
         site = self._sd_site
         if site is not None:
             verdict = site.blocked(self.engine.now)
             if verdict is not None:
                 kind, until = verdict
                 if kind == "crash":
-                    # A dead SD: the frame vanishes; the CPU deadline
-                    # and watchdog take it from here.
                     self._faults.count("sd_crash_drops")
                     self._faults.trace("sd_crash_drop", self.name, {})
                     return
@@ -365,13 +368,13 @@ class SecureDelegator:
         buffered, self._stall_buffer = self._stall_buffer, deque()
         for frame in buffered:
             # Re-check: the next window (or the crash) may already rule.
-            self.receive_frame(frame)
+            self.receive_request(frame)
 
     def _session_state(self, session) -> Dict[str, object]:
         state = self._frame_state.get(session)
         if state is None:
             state = self._frame_state[session] = {
-                "done_seq": 0, "active_seq": 0, "done_resp": None,
+                "done_seq": 0, "active_seq": 0,
             }
         return state
 
@@ -422,8 +425,7 @@ class SecureDelegator:
                 },
             )
         responder = _SdResponder(self, session, frame.seq, frame.block_id)
-        # Decrypt + authenticate + position-map consultation (same delay
-        # and event shape as receive_request).
+        # Decrypt + authenticate + position-map consultation.
         self.engine.after(self.process_ticks, responder.start)
 
     def _send_frame(self, frame) -> None:
@@ -433,39 +435,6 @@ class SecureDelegator:
             return
         self.secure_bob.send_up(
             PACKET_BYTES, frame.session._frame_arrived, arg=frame
-        )
-
-    # ------------------------------------------------------------------
-    # Request entry (packets from the processor)
-    # ------------------------------------------------------------------
-    def receive_request(
-        self,
-        block_id: Optional[int],
-        respond: Callable[[int], None],
-        controller=None,
-    ) -> None:
-        """A decrypted request packet is ready for processing.
-
-        ``respond(t)`` is invoked when the read phase finishes; the caller
-        (the CPU-side backend) ships the response packet up the link.
-        ``controller`` selects the target tree when the SD hosts several
-        S-Apps (defaults to the primary).
-        """
-        if self.sequencer is None:
-            raise RuntimeError("delegator not wired to a controller")
-        self.stats.counter("requests").add()
-        if self._tracer.enabled:
-            self._tracer.instant(
-                "sd", "request", self.name, self.engine.now,
-                {
-                    "real": int(block_id is not None),
-                    "queued": int(self.sequencer.busy),
-                },
-            )
-        # Decrypt + authenticate + position-map consultation.
-        self.engine.after(
-            self.process_ticks,
-            lambda: self.sequencer.submit(block_id, respond, controller),
         )
 
     # ------------------------------------------------------------------
@@ -480,22 +449,19 @@ class SecureDelegator:
         sub = self.secure_bob.subchannels[placement.subchannel]
         if not sub.can_accept(op):
             return False
-        if self._recovery is not None and op is OpType.READ:
-            # The SD MAC-checks every path block it reads; a transient
-            # flip re-issues the block while the sequencer's read phase
-            # stays open (GuardedRead holds the completion back).
-            guard = GuardedRead(on_complete, self._faults,
-                                self._recovery.block_read_retries)
-            on_complete = guard
         req = MemRequest(
             op, placement.channel, placement.subchannel,
             placement.bank, placement.row, placement.col,
             self.app_id, TrafficClass.SECURE, 0, on_complete,
         )
-        if on_complete.__class__ is GuardedRead:
-            on_complete.reissue = (
-                lambda s=sub, r=req: self._enqueue_or_hold(s, r)
-            )
+        site = sub._faults
+        if site is not None and op is OpType.READ:
+            # The SD MAC-checks every path block it reads; a transient
+            # flip re-issues the block while the sequencer's read phase
+            # stays open (GuardedRead holds the completion back).
+            guard = req.on_complete = GuardedRead(on_complete,
+                                                  site.controller)
+            guard.reissue = lambda: self._enqueue_or_hold(sub, req)
         sub.enqueue(req)
         return True
 
@@ -534,37 +500,19 @@ class SecureDelegator:
                     self.engine.after(0, self._flush_merged)
                 return True
             self.stats.counter("remote_short_reads").add()
-            if self._recovery is not None:
-                # Armed: the chain is an inspectable op object so link
-                # and DRAM faults can mark it and retries are bounded.
-                self.secure_bob.send_up(
-                    SHORT_PACKET_BYTES,
-                    _RemoteOp(self, bob, placement, OpType.READ,
-                              on_complete, self._recovery.remote_retries),
-                    tag="remote",
-                )
-                return True
-            # SD -> CPU (short read, up the secure link) ...
+            # SD -> CPU: the short read, up the secure link.
             self.secure_bob.send_up(
                 SHORT_PACKET_BYTES,
-                lambda _t: self._forward_read(bob, placement, on_complete),
+                _RemoteOp(self, bob, placement, OpType.READ, on_complete),
                 tag="remote",
             )
         else:
             self.stats.counter("remote_writes").add()
             self.stats.counter(f"ch{placement.channel}_writes").add()
-            if self._recovery is not None:
-                self.secure_bob.send_up(
-                    PACKET_BYTES,
-                    _RemoteOp(self, bob, placement, OpType.WRITE,
-                              on_complete, self._recovery.remote_retries),
-                    tag="remote",
-                )
-                return True
-            # SD -> CPU (72 B write packet carrying the block) ...
+            # SD -> CPU: the 72 B write packet carrying the block.
             self.secure_bob.send_up(
                 PACKET_BYTES,
-                lambda _t: self._forward_write(bob, placement, on_complete),
+                _RemoteOp(self, bob, placement, OpType.WRITE, on_complete),
                 tag="remote",
             )
         return True
@@ -591,60 +539,17 @@ class SecureDelegator:
             )
 
     def _forward_merged(self, bob: BobChannel, entries, nbytes: int) -> None:
-        """CPU forwards the coalesced packet; blocks fan out at DRAM."""
+        """CPU forwards the coalesced packet; blocks fan out at DRAM,
+        each returning on its own message chain."""
         def arrived(_t: int) -> None:
             for placement, on_complete in entries:
                 self._remote_dram(
                     bob, placement, OpType.READ,
-                    lambda t2, cb=on_complete: self._return_read(bob, cb),
+                    _RemoteOp(self, bob, placement, OpType.READ,
+                              on_complete, stage=2),
                 )
 
         bob.send_down(nbytes, arrived, tag="remote")
-
-    def _forward_read(
-        self,
-        bob: BobChannel,
-        placement: BlockPlacement,
-        on_complete: Callable[[int], None],
-    ) -> None:
-        # ... CPU -> normal channel (short read, down its link) ...
-        bob.send_down(
-            SHORT_PACKET_BYTES,
-            lambda _t: self._remote_dram(
-                bob, placement, OpType.READ,
-                lambda t2: self._return_read(bob, on_complete),
-            ),
-            tag="remote",
-        )
-
-    def _return_read(
-        self, bob: BobChannel, on_complete: Callable[[int], None]
-    ) -> None:
-        # ... DRAM read done: normal channel -> CPU (72 B response) ...
-        bob.send_up(
-            PACKET_BYTES,
-            lambda _t: self.secure_bob.send_down(
-                PACKET_BYTES,
-                lambda t2: self._remote_done(on_complete, t2),
-                tag="remote",
-            ),
-            tag="remote",
-        )
-
-    def _forward_write(
-        self,
-        bob: BobChannel,
-        placement: BlockPlacement,
-        on_complete: Callable[[int], None],
-    ) -> None:
-        bob.send_down(
-            PACKET_BYTES,
-            lambda _t: self._remote_dram(
-                bob, placement, OpType.WRITE,
-                lambda t2: self._remote_done(on_complete, t2),
-            ),
-            tag="remote",
-        )
 
     def _remote_dram(
         self,

@@ -5,9 +5,11 @@ frontend queues its LLC misses and emits exactly one ORAM request every
 ``t`` cycles after the previous response (a dummy when the queue is
 empty), per Section III-B.  Emission goes to a *backend*:
 
-* :class:`DelegatorBackend` -- D-ORAM: seal a 72 B packet, ship it down
-  the secure channel's serial link to the SD, receive the 72 B response
-  on the up link.
+* :class:`~repro.core.recovery.SecureLinkSession` -- D-ORAM: seal a 72 B
+  request frame, ship it down the secure channel's serial link to the
+  SD, receive the 72 B response frame on the up link (and recover from
+  whatever a fault plan does to either).  :func:`delegated_frontend`
+  wires one S-App's session and frontend.
 * :class:`OnChipBackend` -- the Path ORAM baseline: the engine and ORAM
   controller are on the processor; the "response" is the read phase
   completing at the on-chip controller.
@@ -19,11 +21,11 @@ when accepted (the ORAM write happens obliviously later).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.bob.channel import BobChannel
-from repro.core.config import PACKET_BYTES
 from repro.core.delegator import OramSequencer, SecureDelegator
+from repro.core.recovery import BobChannelSink, SecureLinkSession
 from repro.core.timing_guard import RequestPacer
 from repro.cpu.core import MemoryPort
 from repro.dram.commands import OpType
@@ -65,78 +67,6 @@ class _DelayedResponse:
     def __call__(self, time: int) -> None:
         when = time + self.delay
         self.engine.call_at(when, self.on_response, when)
-
-
-class DelegatorBackend(OramBackend):
-    """Packets over the secure BOB link to the SD."""
-
-    def __init__(
-        self,
-        engine: Engine,
-        secure_bob: BobChannel,
-        delegator: SecureDelegator,
-        cpu_process_ns: float = 2.0,
-        controller: Optional[OramController] = None,
-    ) -> None:
-        """``controller`` binds this backend to one tree when the SD
-        hosts several S-Apps; ``None`` uses the SD's primary tree."""
-        self.engine = engine
-        self.secure_bob = secure_bob
-        self.delegator = delegator
-        self.cpu_process_ticks = ns(cpu_process_ns)
-        self.controller = controller
-
-    @property
-    def num_user_blocks(self) -> int:
-        if self.controller is not None:
-            return self.controller.config.num_user_blocks
-        assert self.delegator.sequencer is not None
-        return self.delegator.sequencer.controller.config.num_user_blocks
-
-    def submit(
-        self, block_id: Optional[int], on_response: Callable[[int], None]
-    ) -> None:
-        # CPU -> SD request packet (OTP-sealed, fixed 72 B); the op
-        # object carries itself through the three stages.
-        self.secure_bob.send_down(
-            PACKET_BYTES, _DelegatorOp(self, block_id, on_response)
-        )
-
-
-class _DelegatorOp:
-    """One D-ORAM operation's round trip, one allocation.
-
-    Stage 0: request packet arrives at the SD -> hand to the delegator.
-    Stage 1: the ORAM read finishes -> response packet up the link.
-    Stage 2: response arrives at the CPU -> ``on_response`` after the
-    CPU-side decrypt/check delay.  Each stage is invoked exactly once,
-    in order, so a single callable with a stage counter replaces the
-    four closures the submit path used to allocate.
-    """
-
-    __slots__ = ("backend", "block_id", "on_response", "stage")
-
-    def __init__(self, backend: DelegatorBackend, block_id, on_response) -> None:
-        self.backend = backend
-        self.block_id = block_id
-        self.on_response = on_response
-        self.stage = 0
-
-    def __call__(self, time: int) -> None:
-        backend = self.backend
-        stage = self.stage
-        if stage == 0:
-            self.stage = 1
-            backend.delegator.receive_request(
-                self.block_id, self, backend.controller
-            )
-        elif stage == 1:
-            # SD -> CPU response packet; decrypt/check at the CPU side.
-            self.stage = 2
-            backend.secure_bob.send_up(PACKET_BYTES, self)
-        else:
-            when = time + backend.cpu_process_ticks
-            backend.engine.call_at(when, self.on_response, when)
 
 
 class OnChipBackend(OramBackend):
@@ -287,3 +217,48 @@ class OramFrontend(MemoryPort):
         waiters, self._space_waiters = self._space_waiters, []
         for callback in waiters:
             callback()
+
+
+def delegated_frontend(
+    engine: Engine,
+    delegator: SecureDelegator,
+    controller: OramController,
+    bobs: Dict[int, BobChannel],
+    index: int,
+    *,
+    seed: int,
+    t_cycles: int = 50,
+    faults=None,
+    tracer=None,
+    fallbacks: Optional[List[OramController]] = None,
+) -> OramFrontend:
+    """One delegated S-App port: ``oram_fe<index>`` over ``sdlink<index>``.
+
+    ``controller`` is the S-App's tree on ``delegator`` (built with
+    ``seed``); ``faults`` is the run's fault controller or ``None``.
+    The session's failover engine -- a host-side Path ORAM walking the
+    same tree over the normal BOB path of ``bobs`` -- is built only if
+    the watchdog ever fires, and its controller is then appended to
+    ``fallbacks``.  The frontend is returned unstarted.
+    """
+    def build_fallback() -> OnChipBackend:
+        fallback = OramController(
+            engine, controller.config, controller.layout,
+            BobChannelSink(bobs, app_id=delegator.app_id),
+            seed=seed, name=f"{controller.name}.fb",
+            fork_path=controller.fork_path, tracer=tracer,
+        )
+        if fallbacks is not None:
+            fallbacks.append(fallback)
+        return OnChipBackend(engine, fallback)
+
+    session = SecureLinkSession(
+        engine, delegator, controller, faults=faults,
+        fallback_factory=build_fallback, name=f"sdlink{index}",
+    )
+    frontend = OramFrontend(
+        engine, session, t_cycles=t_cycles, name=f"oram_fe{index}",
+        tracer=tracer,
+    )
+    session.bind_pacer(frontend.pacer)
+    return frontend

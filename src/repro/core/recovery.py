@@ -1,15 +1,12 @@
-"""Secure-link recovery: framing, retransmission, watchdog, failover.
+"""The secure-link protocol: framing, retransmission, watchdog, failover.
 
-The happy-path D-ORAM protocol (:class:`~repro.core.frontend.DelegatorBackend`)
-assumes every 72 B packet crosses the BOB link intact.  The threat model
-does not: the link and the DIMMs are untrusted, so packets may be
-corrupted (MAC verification fails at the receiver), dropped, or delayed.
-This module adds the machinery that survives that -- armed only when a
-:class:`~repro.faults.plan.FaultPlan` is attached to a run, and built so
-that with no faults firing it is schedule-identical to the plain backend
-(bit-identical golden digests; see ``tests/faults/test_empty_plan_identity``).
-
-Protocol (stop-and-wait, one outstanding request per S-App session):
+Every delegated request crosses the BOB link as one sealed 72 B frame
+(Section III-B), carried by a :class:`SecureLinkSession` -- the CPU-side
+endpoint and the frontend's backend.  The threat model lets the link and
+the DIMMs misbehave: packets may be corrupted (MAC verification fails at
+the receiver), dropped, or delayed.  The protocol survives all three,
+and each mechanism switches on only where a fault plan can reach it, so
+a run without faults executes the bare round trip and nothing else:
 
 * Every CPU->SD request carries a session sequence number.  The SD caches
   the last completed response per session, so a retransmitted request is
@@ -22,7 +19,10 @@ Protocol (stop-and-wait, one outstanding request per S-App session):
   deterministic function of observable arrivals (no new timing channel;
   audited by :func:`repro.obs.leakage.check_recovery_discipline`).
 * A request unanswered for ``deadline_ns`` retransmits at exactly
-  ``sent + deadline`` -- again deterministic from the wire.
+  ``sent + deadline`` -- again deterministic from the wire.  The deadline
+  is armed only when the plan can lose or delay a frame
+  (:attr:`~repro.faults.plan.FaultPlan.can_lose_frames`); otherwise every
+  request is answered and a timer could only fire spuriously.
 * ``watchdog_misses`` consecutive deadline expiries (no up-link frame at
   all: the SD's heartbeat is its response stream) declare the SD dead.
   The session fails over to a host-side baseline Path ORAM engine built
@@ -34,7 +34,8 @@ Protocol (stop-and-wait, one outstanding request per S-App session):
 read bit-flip is detected by the per-bucket MAC, and the block is
 re-issued to its sub-channel (bounded by ``block_read_retries``) while
 the ORAM sequencer's read phase simply stays open until the clean copy
-lands -- the protocol-level "re-issue corrupted path blocks" rule.
+lands -- the protocol-level "re-issue corrupted path blocks" rule.  A
+read is guarded only on a channel with an armed DRAM fault site.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class FaultRecoveryError(RuntimeError):
 class Frame:
     """One secure-link frame: request, response, or NAK.
 
-    Frames are the fault-aware unit of the armed link protocol: the
+    Frames are the fault-aware unit of the secure-link protocol: the
     injector calls :meth:`link_fault` on them, and a fresh object is
     allocated per transmission (never reused across retransmissions, so
     a corruption mark can't leak into a later clean send).
@@ -93,24 +94,23 @@ class Frame:
 class GuardedRead:
     """MAC-checked block-read completion with bounded re-issue.
 
-    Wraps a read-phase ``on_complete``: the DRAM fault site marks the
-    object via :meth:`fault_mark_corrupt` when the burst it completes was
-    flipped; at completion time the guard then re-issues the same request
-    through ``reissue`` instead of delivering garbage upward.  The inner
-    callback (the ORAM controller's block accounting) only ever sees
-    clean reads, so the read phase stays open until a verified copy
-    lands.
+    Wraps a read-phase ``on_complete`` on a channel whose DRAM fault site
+    is armed: the site marks the object via :meth:`fault_mark_corrupt`
+    when the burst it completes was flipped; at completion time the guard
+    then re-issues the same request through ``reissue`` instead of
+    delivering garbage upward.  The inner callback (the ORAM controller's
+    block accounting) only ever sees clean reads, so the read phase stays
+    open until a verified copy lands.  ``faults`` is the site's
+    controller; its recovery constants bound the re-reads.
     """
 
-    __slots__ = ("inner", "reissue", "faults", "limit", "attempts", "corrupt")
+    __slots__ = ("inner", "reissue", "faults", "attempts", "corrupt")
 
-    def __init__(self, inner: Callable[[int], None], faults,
-                 limit: int) -> None:
+    def __init__(self, inner: Callable[[int], None], faults) -> None:
         self.inner = inner
         #: Set by the issue site right after the MemRequest exists.
         self.reissue: Optional[Callable[[], None]] = None
         self.faults = faults
-        self.limit = limit
         self.attempts = 0
         self.corrupt = False
 
@@ -122,10 +122,11 @@ class GuardedRead:
         if self.corrupt:
             self.corrupt = False
             self.attempts += 1
-            if self.attempts > self.limit:
+            limit = self.faults.recovery.block_read_retries
+            if self.attempts > limit:
                 raise FaultRecoveryError(
                     f"block read failed MAC verification {self.attempts} "
-                    f"times; retry bound {self.limit} exhausted"
+                    f"times; retry bound {limit} exhausted"
                 )
             self.faults.count("block_rereads")
             self.faults.trace("block_reread", "dram",
@@ -136,36 +137,50 @@ class GuardedRead:
 
 
 class SecureLinkSession:
-    """CPU-side endpoint of the recovery protocol for one S-App tree."""
+    """CPU-side endpoint of the secure link for one S-App tree.
+
+    Serves as the S-App frontend's backend.  ``faults`` is the run's
+    :class:`~repro.faults.inject.FaultController`, or ``None`` for a run
+    without a plan; ``fallback_factory`` builds the host-side failover
+    backend and is only called if the session ever fails over, which
+    needs a plan.
+    """
 
     def __init__(
         self,
         engine: Engine,
-        secure_bob: BobChannel,
         delegator,
         controller: OramController,
-        params: RecoveryParams,
-        faults,
-        fallback_factory: Callable[[], object],
+        faults=None,
+        fallback_factory: Optional[Callable[[], object]] = None,
         cpu_process_ns: float = 2.0,
         name: str = "sdlink",
     ) -> None:
         self.engine = engine
-        self.secure_bob = secure_bob
+        self.secure_bob = delegator.secure_bob
         self.delegator = delegator
         self.controller = controller
-        self.params = params
+        self.params = (
+            faults.recovery if faults is not None else RecoveryParams()
+        )
         self.faults = faults
         self.fallback_factory = fallback_factory
         self.cpu_process_ticks = ns(cpu_process_ns)
         self.name = name
         self.stats = StatSet(name)
-        faults.register_stats(name, self.stats)
-        #: Bound by the system builder once the frontend (and so the
-        #: pacer) exists; supplies the fixed-rate slot width ``t``.
+        if faults is not None:
+            faults.register_stats(name, self.stats)
+        #: Bound by :func:`~repro.core.frontend.delegated_frontend` once
+        #: the frontend (and so the pacer) exists; supplies the
+        #: fixed-rate slot width ``t``.
         self.pacer = None
         self.t_ticks = 0
-        self.deadline_ticks = params.deadline_ticks
+        #: Per-attempt response deadline; 0 when no rule can lose or
+        #: delay a frame (every request is then answered, so no timer).
+        self.deadline_ticks = (
+            self.params.deadline_ticks
+            if faults is not None and faults.plan.can_lose_frames else 0
+        )
         self._seq = 0
         self._attempt = 0
         self._awaiting = False
@@ -185,6 +200,10 @@ class SecureLinkSession:
     def failed(self) -> bool:
         return self._failed
 
+    @property
+    def num_user_blocks(self) -> int:
+        return self.controller.config.num_user_blocks
+
     # ------------------------------------------------------------------
     # Request side
     # ------------------------------------------------------------------
@@ -201,7 +220,7 @@ class SecureLinkSession:
         self._send()
 
     def _send(self) -> None:
-        """Transmit the current attempt and arm its response deadline."""
+        """Transmit the current attempt (and arm its deadline, if any)."""
         if self._attempt > 1:
             self.stats.counter("retransmissions").add()
             if self.pacer is not None:
@@ -209,12 +228,13 @@ class SecureLinkSession:
         frame = Frame(Frame.REQ, self._seq, self._block_id,
                       self._attempt, self)
         self.secure_bob.send_down(
-            PACKET_BYTES, self.delegator.receive_frame, arg=frame
+            PACKET_BYTES, self.delegator.receive_request, arg=frame
         )
-        self._deadline_handle = self.engine.call_at(
-            self.engine.now + self.deadline_ticks,
-            self._deadline_fired, self._seq,
-        )
+        if self.deadline_ticks:
+            self._deadline_handle = self.engine.call_at(
+                self.engine.now + self.deadline_ticks,
+                self._deadline_fired, self._seq,
+            )
 
     # ------------------------------------------------------------------
     # Response side (up-link delivery callback)
@@ -320,41 +340,20 @@ class SecureLinkSession:
             self._fallback.submit(self._block_id, on_response)
 
 
-class FailoverBackend:
-    """Frontend backend that rides a session (and survives its failover).
-
-    Duck-typed to :class:`repro.core.frontend.OramBackend` (not a
-    subclass, to keep this module importable from the delegator layer).
-    """
-
-    def __init__(self, session: SecureLinkSession) -> None:
-        self.session = session
-
-    @property
-    def num_user_blocks(self) -> int:
-        return self.session.controller.config.num_user_blocks
-
-    def submit(self, block_id: Optional[int],
-               on_response: Callable[[int], None]) -> None:
-        self.session.submit(block_id, on_response)
-
-
 class BobChannelSink(BlockSink):
     """Host-side block sink for failover under the BOB architecture.
 
     The fallback Path ORAM engine runs on the processor, so its path
     blocks cross the serial links as ordinary traffic
     (:meth:`BobChannel.submit`), tagged ``SECURE`` for the schedulers.
-    Reads are MAC-verified at the host via :class:`GuardedRead` --
-    failover must not give up the DRAM-flip protection.
+    Reads from a sub-channel with an armed DRAM fault site are
+    MAC-verified at the host via :class:`GuardedRead` -- failover must
+    not give up the DRAM-flip protection.
     """
 
-    def __init__(self, bobs: Dict[int, BobChannel], app_id: int,
-                 faults=None, retry_limit: int = 16) -> None:
+    def __init__(self, bobs: Dict[int, BobChannel], app_id: int) -> None:
         self.bobs = bobs
         self.app_id = app_id
-        self.faults = faults
-        self.retry_limit = retry_limit
 
     def try_issue(
         self,
@@ -365,8 +364,9 @@ class BobChannelSink(BlockSink):
         bob = self.bobs[placement.channel]
         if not bob.can_accept(op):
             return False
-        if self.faults is not None and op is OpType.READ:
-            guard = GuardedRead(on_complete, self.faults, self.retry_limit)
+        site = bob.subchannels[placement.subchannel]._faults
+        if site is not None and op is OpType.READ:
+            guard = GuardedRead(on_complete, site.controller)
             guard.reissue = lambda: self._reissue(bob, placement, guard)
             on_complete = guard
         bob.submit(op, placement.subchannel, placement.bank,

@@ -24,13 +24,9 @@ class DirectChannelSink(BlockSink):
     """Issues ORAM blocks into directly attached DRAM channels."""
 
     def __init__(self, channels: Dict[Tuple[int, int], Channel],
-                 app_id: int, faults=None, retry_limit: int = 16) -> None:
+                 app_id: int) -> None:
         self.channels = channels
         self.app_id = app_id
-        #: Fault controller (``repro.faults``); ``None`` keeps the issue
-        #: path free of per-request guard objects.
-        self.faults = faults
-        self.retry_limit = retry_limit
 
     def try_issue(
         self,
@@ -42,20 +38,19 @@ class DirectChannelSink(BlockSink):
         channel = self.channels[key]
         if not channel.can_accept(op):
             return False
-        if self.faults is not None and op is OpType.READ:
-            # MAC verification on the fetched bucket: a transient flip
-            # re-reads the same block before the read phase completes.
-            guard = GuardedRead(on_complete, self.faults, self.retry_limit)
-            on_complete = guard
         req = MemRequest(
             op, placement.channel, placement.subchannel,
             placement.bank, placement.row, placement.col,
             self.app_id, TrafficClass.SECURE, 0, on_complete,
         )
-        if on_complete.__class__ is GuardedRead:
-            on_complete.reissue = (
-                lambda c=channel, r=req: self._reissue(c, r)
-            )
+        site = channel._faults
+        if site is not None and op is OpType.READ:
+            # MAC verification on the fetched bucket: a transient flip
+            # (only an armed DRAM site injects one) re-reads the same
+            # block before the read phase completes.
+            guard = req.on_complete = GuardedRead(on_complete,
+                                                  site.controller)
+            guard.reissue = lambda: self._reissue(channel, req)
         channel.enqueue(req)
         return True
 

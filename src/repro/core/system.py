@@ -16,11 +16,10 @@ from repro.bob.channel import BobChannel
 from repro.core.channel_sharing import sharing_targets
 from repro.core.config import SystemConfig
 from repro.core.delegator import OramSequencer, SecureDelegator
-from repro.core.frontend import DelegatorBackend, OnChipBackend, OramFrontend
-from repro.core.recovery import (
-    BobChannelSink,
-    FailoverBackend,
-    SecureLinkSession,
+from repro.core.frontend import (
+    OnChipBackend,
+    OramFrontend,
+    delegated_frontend,
 )
 from repro.core.sinks import DirectChannelSink
 from repro.cpu.core import Core, MemoryPort
@@ -396,9 +395,9 @@ def build_and_run(config: SystemConfig,
 
     ``faults`` (a :class:`repro.faults.FaultController`, single-run)
     arms the fault-injection sites and the secure-link recovery
-    protocol.  A controller whose plan is empty leaves the run
-    bit-identical to ``faults=None`` (same trace digest, same
-    serialized result) -- the recovery framing is schedule-neutral.
+    mechanisms its plan can reach.  A controller whose plan is empty
+    arms none of them, so the run is bit-identical to ``faults=None``
+    (same trace digest, same serialized result).
     """
     engine = Engine(tracer=tracer)
     if faults is not None:
@@ -434,20 +433,7 @@ def build_and_run(config: SystemConfig,
         )
 
     if faults is not None:
-        for key in sorted(channels):
-            channel = channels[key]
-            site = faults.dram_site(channel.name)
-            if site is not None:
-                channel.arm_faults(site)
-            if faults.capture_commands:
-                faults.command_logs[channel.name] = \
-                    channel.start_command_log()
-        for ch in sorted(bobs):
-            bob = bobs[ch]
-            for link in (bob.down, bob.up):
-                site = faults.link_site(link.name)
-                if site is not None:
-                    link.arm_faults(site)
+        faults.arm_sites(channels, bobs)
 
     # -- NS-App ports -------------------------------------------------------
     ns_ports: Dict[int, MemoryPort] = {}
@@ -483,13 +469,7 @@ def build_and_run(config: SystemConfig,
                     home_targets=[(ch, 0) for ch in range(config.num_channels)],
                     geometry=geometry,
                 )
-                if faults is not None:
-                    sink = DirectChannelSink(
-                        channels, app_id=s_app_id, faults=faults,
-                        retry_limit=faults.recovery.block_read_retries,
-                    )
-                else:
-                    sink = DirectChannelSink(channels, app_id=s_app_id)
+                sink = DirectChannelSink(channels, app_id=s_app_id)
                 controller = OramController(engine, ocfg, layout, sink,
                                             seed=config.seed,
                                             fork_path=config.fork_path,
@@ -512,7 +492,7 @@ def build_and_run(config: SystemConfig,
                     engine, secure_bob, normal_bobs,
                     process_ns=config.sd_process_ns, app_id=s_app_id,
                     merge_short_reads=config.merge_short_reads,
-                    tracer=tracer,
+                    tracer=tracer, faults=faults,
                 )
                 remote_targets = [(ch, 0) for ch in sorted(normal_bobs)]
                 # Remote footprint per tree (split levels, per channel).
@@ -549,49 +529,13 @@ def build_and_run(config: SystemConfig,
                     )
                     controllers.append(ctrl)
                 delegator.sequencer = OramSequencer(controllers[0])
-                if faults is not None:
-                    delegator.arm_recovery(faults)
                 for s_index, ctrl in enumerate(controllers):
-                    session = None
-                    if faults is not None:
-                        # Recovery-protocol endpoint; the fallback (a
-                        # host-side Path ORAM over the normal BOB path)
-                        # is only built if the watchdog ever fires, so
-                        # a fault-free run allocates nothing extra.
-                        def _make_fallback(ctrl=ctrl, s_index=s_index):
-                            fb_sink = BobChannelSink(
-                                bobs, app_id=s_app_id, faults=faults,
-                                retry_limit=(
-                                    faults.recovery.block_read_retries
-                                ),
-                            )
-                            fb_ctrl = OramController(
-                                engine, ctrl.config, ctrl.layout, fb_sink,
-                                seed=config.seed + 31 * s_index,
-                                name=f"oram{s_index}.fb",
-                                fork_path=config.fork_path,
-                                tracer=tracer,
-                            )
-                            fallback_controllers.append(fb_ctrl)
-                            return OnChipBackend(engine, fb_ctrl)
-
-                        session = SecureLinkSession(
-                            engine, secure_bob, delegator, ctrl,
-                            faults.recovery, faults,
-                            fallback_factory=_make_fallback,
-                            name=f"sdlink{s_index}",
-                        )
-                        backend = FailoverBackend(session)
-                    else:
-                        backend = DelegatorBackend(
-                            engine, secure_bob, delegator, controller=ctrl
-                        )
-                    frontend = OramFrontend(
-                        engine, backend, t_cycles=config.t_cycles,
-                        name=f"oram_fe{s_index}", tracer=tracer,
+                    frontend = delegated_frontend(
+                        engine, delegator, ctrl, bobs, s_index,
+                        seed=config.seed + 31 * s_index,
+                        t_cycles=config.t_cycles, faults=faults,
+                        tracer=tracer, fallbacks=fallback_controllers,
                     )
-                    if session is not None:
-                        session.bind_pacer(frontend.pacer)
                     frontend.start()
                     frontends.append(frontend)
                     s_ports.append(frontend)

@@ -1,12 +1,14 @@
 """Fault injection: binding a :class:`FaultPlan` to one simulation.
 
 A :class:`FaultController` is single-run: the system builder calls
-:meth:`FaultController.bind` with the engine/tracer, asks for per-site
-injectors (:meth:`link_site`, :meth:`dram_site`, :meth:`sd_site`), and
-components arm themselves only when a site actually has rules for them.
-A link or channel with no matching rule keeps its ``_faults`` hook at
-``None`` and pays nothing; an armed site costs one rule scan (plus at
-most one RNG draw per rule) per packet or read completion.
+:meth:`FaultController.bind` with the engine/tracer and
+:meth:`FaultController.arm_sites` on the fabric, and hands the
+controller to the delegator (:meth:`sd_site`) and the secure-link
+sessions.  Components arm themselves only when a site actually has
+rules for them.  A link or channel with no matching rule keeps its
+``_faults`` hook at ``None`` and pays nothing; an armed site costs one
+rule scan (plus at most one RNG draw per rule) per packet or read
+completion.
 
 Determinism: each site owns an independent seeded stream (see
 :func:`repro.faults.plan.site_rng`), and all decisions are made in model
@@ -226,6 +228,29 @@ class FaultController:
         self._tracer = (
             tracer if tracer is not None else NULL_TRACER
         ).category("fault")
+
+    def arm_sites(self, channels: Dict, bobs: Dict) -> None:
+        """Attach the plan's DRAM and link sites to a built fabric.
+
+        ``channels`` maps ``(channel, subchannel)`` to DRAM channels and
+        ``bobs`` maps channel numbers to BOB channels (empty for a
+        direct-attached fabric).  Components no rule names stay
+        unarmed.  With ``capture_commands`` every channel also starts
+        its command log for the compliance referee.
+        """
+        for key in sorted(channels):
+            channel = channels[key]
+            site = self.dram_site(channel.name)
+            if site is not None:
+                channel.arm_faults(site)
+            if self.capture_commands:
+                self.command_logs[channel.name] = channel.start_command_log()
+        for ch in sorted(bobs):
+            bob = bobs[ch]
+            for link in (bob.down, bob.up):
+                site = self.link_site(link.name)
+                if site is not None:
+                    link.arm_faults(site)
 
     # ------------------------------------------------------------------
     # Site factories (None = nothing armed for that component)

@@ -10,9 +10,12 @@ and deterministic: every injection site derives its own independent
 sha256, so adding a rule for one link never perturbs the fault schedule
 another site sees.
 
-Arming a plan never changes simulation results by itself: an *empty*
-plan wires the recovery machinery and the injection hooks but fires no
-faults, and the golden-trace digests stay bit-identical (enforced by
+Arming a plan never changes simulation results by itself: every run
+uses the same secure-link protocol, and a mechanism switches on only
+where a rule can reach it (a link or channel site with matching rules,
+response deadlines only when frames can be lost or late).  An *empty*
+plan therefore runs exactly the code a run without one does, and the
+golden-trace digests stay bit-identical (enforced by
 ``tests/faults/test_empty_plan_identity.py``).
 """
 
@@ -323,6 +326,16 @@ class FaultPlan:
     def is_empty(self) -> bool:
         """True when no rule can ever fire (recovery still arms)."""
         return not (self.link or self.dram or self.delegator)
+
+    @property
+    def can_lose_frames(self) -> bool:
+        """True when a secure-link frame may be lost or late: a ``drop``
+        or ``delay`` link rule, or any delegator stall/crash.  Only then
+        do sessions arm their per-attempt response deadline; corruption
+        alone is always answered (by a NAK or a garbled frame)."""
+        return bool(self.delegator) or any(
+            rule.kind in ("drop", "delay") for rule in self.link
+        )
 
     def reseeded(self, seed: int) -> "FaultPlan":
         """The same schedule shape under a different seed."""

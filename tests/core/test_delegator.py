@@ -1,4 +1,8 @@
-"""Secure delegator: sequencing, buffering, remote messaging."""
+"""Secure delegator: sequencing, buffering, remote messaging.
+
+Requests reach the SD the way they do in a run: as frames from a
+:class:`SecureLinkSession` without a fault plan.
+"""
 
 from typing import List, Optional
 
@@ -6,18 +10,23 @@ import pytest
 
 from repro.bob.channel import BobChannel
 from repro.core.delegator import OramSequencer, SecureDelegator
+from repro.core.recovery import SecureLinkSession
 from repro.dram.channel import Channel
 from repro.dram.commands import OpType
+from repro.dram.timing import DEFAULT_CHANNEL_PARAMS, ChannelParams
 from repro.oram.config import OramConfig
 from repro.oram.controller import OramController
 from repro.oram.layout import OramLayout
 from repro.sim.engine import Engine
 
 
-def build_doram(split_k=0, leaf_level=9, merge_short_reads=False):
+def build_doram(split_k=0, leaf_level=9, merge_short_reads=False,
+                secure_params=DEFAULT_CHANNEL_PARAMS):
     """A secure BOB channel with SD + three normal BOB channels."""
     eng = Engine()
-    secure_subs = [Channel(eng, f"ch0.{i}") for i in range(4)]
+    secure_subs = [
+        Channel(eng, f"ch0.{i}", params=secure_params) for i in range(4)
+    ]
     secure_bob = BobChannel(eng, 0, secure_subs)
     normal_bobs = {
         ch: BobChannel(eng, ch, [Channel(eng, f"ch{ch}.0")])
@@ -38,48 +47,87 @@ def build_doram(split_k=0, leaf_level=9, merge_short_reads=False):
     return eng, sd, controller, secure_bob, normal_bobs
 
 
+def _ignore(_time: int) -> None:
+    pass
+
+
+def request(sd, block_id, respond=_ignore):
+    """One request frame to ``sd`` from a fresh CPU-side session."""
+    session = SecureLinkSession(sd.engine, sd, sd.sequencer.controller)
+    session.submit(block_id, respond)
+
+
 class TestSequencer:
     def test_response_fires_after_read_phase(self):
         eng, sd, ctrl, *_ = build_doram()
         responses: List[int] = []
-        sd.receive_request(0, responses.append)
+        request(sd, 0, responses.append)
         eng.run()
         assert len(responses) == 1
         assert ctrl.stats.latency("read_phase").count == 1
 
     def test_write_phase_follows_response(self):
         eng, sd, ctrl, *_ = build_doram()
-        sd.receive_request(0, lambda t: None)
+        request(sd, 0)
         eng.run()
         assert ctrl.stats.latency("write_phase").count == 1
 
     def test_request_during_write_phase_is_buffered(self):
-        eng, sd, ctrl, *_ = build_doram()
+        # One-entry write queues that drain at once: the write-back of
+        # a 10-level path waits on DRAM, so the write phase outlasts the
+        # response's and the next request's link flights.
+        eng, sd, ctrl, *_ = build_doram(
+            leaf_level=12,
+            secure_params=ChannelParams(
+                write_queue_depth=1, write_drain_hi=1, write_drain_lo=0,
+            ),
+        )
         order: List[str] = []
+        phase_at_arrival: List[Optional[str]] = []
+        submit = sd.sequencer.submit
+
+        def spy(block_id, respond, controller=None):
+            phase_at_arrival.append(ctrl.phase)
+            submit(block_id, respond, controller)
+
+        sd.sequencer.submit = spy
+        session = SecureLinkSession(eng, sd, ctrl)
 
         def first_response(t: int) -> None:
             order.append("resp1")
-            # Inject the second request immediately: the write phase of
-            # access 1 is still ongoing, so it must buffer.
-            sd.receive_request(1, lambda t2: order.append("resp2"))
+            # Issue the second request immediately: the write phase of
+            # access 1 is still ongoing when it reaches the SD, so it
+            # must buffer.
+            session.submit(1, lambda t2: order.append("resp2"))
 
-        sd.receive_request(0, first_response)
+        session.submit(0, first_response)
         eng.run()
         assert order == ["resp1", "resp2"]
+        assert phase_at_arrival == [None, "write"]
         assert ctrl.stats.counter("real_accesses").value == 2
         assert ctrl.stats.latency("write_phase").count == 2
+
+    def test_buffered_requests_are_served_in_arrival_order(self):
+        eng, sd, ctrl, *_ = build_doram()
+        order: List[int] = []
+        for block in range(3):
+            request(sd, block, lambda t, b=block: order.append(b))
+        eng.run()
+        assert order == [0, 1, 2]
+        assert ctrl.stats.counter("real_accesses").value == 3
 
     def test_unwired_delegator_rejects(self):
         eng = Engine()
         subs = [Channel(eng, "s0")]
         bob = BobChannel(eng, 0, subs)
         sd = SecureDelegator(eng, bob, {})
+        SecureLinkSession(eng, sd, None).submit(0, _ignore)
         with pytest.raises(RuntimeError, match="not wired"):
-            sd.receive_request(0, lambda t: None)
+            eng.run()
 
     def test_dummy_requests_processed(self):
         eng, sd, ctrl, *_ = build_doram()
-        sd.receive_request(None, lambda t: None)
+        request(sd, None)
         eng.run()
         assert ctrl.stats.counter("dummy_accesses").value == 1
 
@@ -87,7 +135,7 @@ class TestSequencer:
 class TestLocalTraffic:
     def test_blocks_stripe_over_four_subchannels(self):
         eng, sd, ctrl, secure_bob, _ = build_doram()
-        sd.receive_request(0, lambda t: None)
+        request(sd, 0)
         eng.run()
         counts = [
             sub.stats.counter("reads_serviced").value
@@ -98,7 +146,7 @@ class TestLocalTraffic:
 
     def test_no_remote_traffic_without_split(self):
         eng, sd, ctrl, _, normal_bobs = build_doram(split_k=0)
-        sd.receive_request(0, lambda t: None)
+        request(sd, 0)
         eng.run()
         assert sd.stats.counter("remote_short_reads").value == 0
         for bob in normal_bobs.values():
@@ -108,7 +156,7 @@ class TestLocalTraffic:
 class TestRemoteTraffic:
     def test_split_generates_table1_messages(self):
         eng, sd, ctrl, secure_bob, normal_bobs = build_doram(split_k=1)
-        sd.receive_request(0, lambda t: None)
+        request(sd, 0)
         eng.run()
         # k=1: 4 relocated blocks -> 4 short reads + 4 writes via SD.
         assert sd.stats.counter("remote_short_reads").value == 4
@@ -116,7 +164,7 @@ class TestRemoteTraffic:
 
     def test_remote_blocks_hit_normal_channels(self):
         eng, sd, ctrl, _, normal_bobs = build_doram(split_k=1)
-        sd.receive_request(0, lambda t: None)
+        request(sd, 0)
         eng.run()
         serviced = sum(
             bob.subchannels[0].stats.counter("reads_serviced").value
@@ -126,21 +174,21 @@ class TestRemoteTraffic:
 
     def test_remote_messages_cross_both_links(self):
         eng, sd, ctrl, secure_bob, normal_bobs = build_doram(split_k=1)
-        sd.receive_request(0, lambda t: None)
+        request(sd, 0)
         eng.run()
-        # Secure channel up: 4 short reads + 4 write packets + 1 response
-        # path is via backend (not used here); down: 4 data responses.
-        assert secure_bob.stats.counter("raw_up").value == 8
-        assert secure_bob.stats.counter("raw_down").value == 4
+        # Secure channel up: 4 short reads + 4 write packets + the
+        # response frame; down: the request frame + 4 data responses.
+        assert secure_bob.stats.counter("raw_up").value == 4 + 4 + 1
+        assert secure_bob.stats.counter("raw_down").value == 1 + 4
 
     def test_remote_read_latency_exceeds_local(self):
         eng_l, sd_l, ctrl_l, *_ = build_doram(split_k=0)
-        sd_l.receive_request(0, lambda t: None)
+        request(sd_l, 0)
         eng_l.run()
         local_read = ctrl_l.stats.latency("read_phase").mean
 
         eng_r, sd_r, ctrl_r, *_ = build_doram(split_k=1)
-        sd_r.receive_request(0, lambda t: None)
+        request(sd_r, 0)
         eng_r.run()
         remote_read = ctrl_r.stats.latency("read_phase").mean
         # Four extra link round trips stretch the read phase.
@@ -148,7 +196,7 @@ class TestRemoteTraffic:
 
     def test_per_channel_rotation_counts(self):
         eng, sd, ctrl, _, _ = build_doram(split_k=2)
-        sd.receive_request(0, lambda t: None)
+        request(sd, 0)
         eng.run()
         total_reads = sum(
             sd.stats.counter(f"ch{ch}_reads").value for ch in (1, 2, 3)
@@ -192,6 +240,6 @@ class TestShortReadMerging:
     def _run(merge):
         parts = build_doram(split_k=2, merge_short_reads=merge)
         eng, sd = parts[0], parts[1]
-        sd.receive_request(0, lambda t: None)
+        request(sd, 0)
         eng.run()
         return parts

@@ -1,7 +1,7 @@
 """Secure-link pipeline replay: fixed rate and the lazy/eager census.
 
 Hypothesis-generated app op mixes run through the full delegated stack
--- :class:`OramFrontend` pacer, :class:`DelegatorBackend`, BOB serial
+-- :class:`OramFrontend` pacer, :class:`SecureLinkSession`, BOB serial
 links, :class:`SecureDelegator`, real DRAM sub-channels and a real Path
 ORAM controller -- over pacer rate x link bandwidth x SD service time.
 Two properties must hold on every mix:
@@ -18,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 from repro.bob.channel import BobChannel
 from repro.bob.link import LinkParams
 from repro.core.delegator import OramSequencer, SecureDelegator
-from repro.core.frontend import DelegatorBackend, OramFrontend
+from repro.core.frontend import OramFrontend
+from repro.core.recovery import SecureLinkSession
 from repro.dram.channel import Channel
 from repro.dram.commands import OpType
 from repro.dram.compliance import ProtocolChecker
@@ -63,8 +64,8 @@ def _replay(ops, *, t_cycles=50, process_ns=5.0, cpu_process_ns=2.0,
         eng, cfg, layout, delegator.sink, seed=1, tracer=tracer
     )
     delegator.sequencer = OramSequencer(controller)
-    backend = DelegatorBackend(eng, bob, delegator,
-                               cpu_process_ns=cpu_process_ns)
+    backend = SecureLinkSession(eng, delegator, controller,
+                                cpu_process_ns=cpu_process_ns)
     frontend = OramFrontend(
         eng, backend, t_cycles=t_cycles, queue_depth=QUEUE_DEPTH,
         tracer=tracer,

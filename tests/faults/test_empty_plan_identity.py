@@ -1,12 +1,13 @@
 """Empty-plan identity: arming recovery with no fault rules is free.
 
 The fault layer's core zero-overhead promise: a run with an *empty*
-:class:`FaultPlan` armed -- recovery sessions, sequence-numbered frames,
-deadline timers and all -- is **bit-identical** to a run with no fault
-controller at all.  Same golden trace digest, same serialized
-:class:`SimResult` payload, same logical event census and raw dispatch
-count, and that holds in both periodic modes (eager/lazy) the engine
-supports.
+:class:`FaultPlan` armed is **bit-identical** to a run with no fault
+controller at all.  Both use the same secure-link frame protocol, and an
+empty plan arms no fault site and no response deadline.  Same golden
+trace digest, same serialized :class:`SimResult` payload, same logical
+event census and raw dispatch count, and that holds in both periodic
+modes (eager/lazy) the engine supports -- and for the 16-tenant service
+shape, where many sessions queue behind one delegator.
 """
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.faults import FaultController, FaultPlan
 from repro.obs.export import trace_digest
 from repro.obs.golden import GOLDEN_SCHEMES, run_traced
+from repro.scenarios import ScenarioConfig, run_scenario
 
 BACKENDS = ["lazy", "eager"]
 
@@ -66,3 +68,27 @@ class TestEmptyPlanIdentity:
             "doram", faults=FaultController(FaultPlan())
         )
         assert "fault_summary" not in result.to_json_dict()
+
+
+class TestEmptyPlanScenarioIdentity:
+    """The serve shape: 16 sessions share one SD on the default L=23
+    tree, so a healthy response can take longer than the recovery
+    deadline -- an armed deadline would time out and retransmit."""
+
+    CONFIG = ScenarioConfig(num_tenants=16, horizon_ns=20_000.0, seed=1)
+
+    def test_sixteen_tenants_identical_to_bare(self):
+        bare = run_scenario(self.CONFIG)
+        armed = run_scenario(
+            self.CONFIG, faults=FaultController(FaultPlan())
+        )
+        assert armed.report_digest() == bare.report_digest()
+        assert armed.events == bare.events
+        assert armed.raw_events == bare.raw_events
+        sessions = {
+            name: stats for name, stats in armed.fault_summary.items()
+            if name.startswith("sdlink")
+        }
+        assert len(sessions) == 16
+        for name, stats in sessions.items():
+            assert stats.get("timeouts", 0) == 0, name

@@ -88,10 +88,11 @@ class TestTimingChannel:
         controller = OramController(eng, cfg, layout, sd.sink, seed=seed)
         sd.sequencer = OramSequencer(controller)
 
-        from repro.core.frontend import DelegatorBackend, OramFrontend
+        from repro.core.frontend import OramFrontend
+        from repro.core.recovery import SecureLinkSession
         from repro.dram.commands import OpType
 
-        backend = DelegatorBackend(eng, bob, sd)
+        backend = SecureLinkSession(eng, sd, controller)
         frontend = OramFrontend(eng, backend, t_cycles=50)
 
         times = []

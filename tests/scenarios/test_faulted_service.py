@@ -4,8 +4,11 @@ Extends the tenant-isolation regression with hardware-level fault plans
 (PR 5's ``repro.faults``) armed on the scenario fabric:
 
 * an armed-but-**empty** plan must leave the whole stored payload --
-  ``report_digest()`` -- bit-identical to a bare run (the recovery
-  framing is schedule-neutral, pinned here at the service layer);
+  ``report_digest()`` -- bit-identical to a bare run (an empty plan arms
+  nothing, pinned here at the service layer);
+* response deadlines are armed only by plans that can lose or delay a
+  frame: corruption alone times nothing out, and a dropped response is
+  still recovered through the deadline;
 * link corruption and DRAM bit-flips may move per-tenant **timing**
   digests (retransmits and re-reads shift the schedule) but never the
   **functional** digests: every tenant still gets exactly the data it
@@ -84,6 +87,32 @@ class TestArmedEmpty:
         assert len(sessions) == 3
 
 
+def _sessions(result):
+    return {
+        name: stats for name, stats in result.fault_summary.items()
+        if name.startswith("sdlink")
+    }
+
+
+class TestArmedCorruptOnly:
+    """Sixteen sessions on one SD: a healthy response can outlast the
+    recovery deadline, so an armed deadline would fire spuriously."""
+
+    def test_corrupt_only_plan_times_out_nothing(self):
+        config = ScenarioConfig(num_tenants=16, horizon_ns=HORIZON_NS,
+                                seed=1)
+        plan = FaultPlan(seed=3, link=(
+            LinkFault(kind="corrupt", link="bob0.down", rate=0.05),
+        ))
+        result = run_scenario(config, faults=FaultController(plan))
+        assert result.fault_summary["faults"]["link_corrupts"] > 0
+        sessions = _sessions(result)
+        assert len(sessions) == 16
+        assert sum(s.get("naks", 0) for s in sessions.values()) > 0
+        for name, stats in sessions.items():
+            assert stats.get("timeouts", 0) == 0, name
+
+
 class TestLinkFaults:
     def test_faults_actually_fired(self, link_faulted):
         assert link_faulted.fault_summary["faults"].get(
@@ -103,6 +132,25 @@ class TestLinkFaults:
             != bare.tenants[t]["timing_digest"]
             for t in bare.tenants
         )
+
+
+    def test_dropped_response_recovers_through_the_deadline(self):
+        plan = FaultPlan(seed=3, link=(
+            LinkFault(kind="drop", link="bob0.up", tag="raw",
+                      packets=(3,)),
+        ))
+        # The event budget turns a lost response nobody retransmits into
+        # an error instead of a run that never drains.
+        result = run_scenario(_config(), faults=FaultController(plan),
+                              max_events=200_000)
+        fired = result.fault_summary["faults"]
+        assert fired["link_drops"] == 1
+        # The retransmitted request is answered from the SD's cache.
+        assert fired["sd_duplicate_requests"] == 1
+        sessions = _sessions(result).values()
+        assert sum(s.get("timeouts", 0) for s in sessions) >= 1
+        assert sum(s.get("recovered_requests", 0) for s in sessions) >= 1
+        assert all(s.get("failovers", 0) == 0 for s in sessions)
 
 
 class TestDramFaults:
