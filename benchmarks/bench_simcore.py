@@ -169,12 +169,12 @@ def run_long_idle(periodic="lazy", n_cores=1, accesses_per_core=6000, mpki=0.5):
 
     At MPKI 0.5 the core spends ~500 pipeline cycles between LLC
     misses, so nearly the whole event census is periodic core wakes with
-    nothing else due -- exactly what the gap crunch and refresh batching
-    elide.  One core on purpose: with the engine otherwise quiet the
-    crunch can fast-forward whole gaps, whereas co-running cores pin
-    ``Engine.peek_time()`` a cycle ahead and legitimately bound the skip
-    (see DESIGN.md section 9).  ``periodic="eager"`` reproduces the
-    pre-census engine for the comparison row.
+    nothing else due -- exactly what core run-ahead and refresh batching
+    elide.  One core on purpose: with the engine otherwise quiet every
+    skipped wake is synthesized, whereas co-running cores turn most of
+    them into cheap placeholder dispatches (see DESIGN.md section 9a).
+    ``periodic="eager"`` reproduces the pre-census engine for the
+    comparison row.
     """
     eng = Engine(periodic=periodic)
     channels = {

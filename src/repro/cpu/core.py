@@ -30,10 +30,11 @@ itself as its completion callback (no closure per issued load).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappush
-from typing import Callable, Deque, Iterator, Optional
+from typing import Callable, Deque, Iterator, List, Optional
 
 from repro.dram.commands import OpType
 from repro.sim.engine import CPU_CYCLE_TICKS, Engine, _NO_ARG
@@ -43,10 +44,10 @@ from repro.trace.trace_format import TraceRecord
 _READ = OpType.READ
 _WRITE = OpType.WRITE
 
-#: Smallest remaining instruction gap worth crunching (see ``_crunch``):
-#: below this the setup cost plus the issue-stop re-run beats the saved
-#: dispatches, so the wakes are dispatched normally.  Purely a
-#: performance knob -- any value yields the same simulation.
+#: Smallest remaining instruction gap worth running ahead (see
+#: ``_crunch``): below this the setup cost plus the issue-stop re-run
+#: beats the saved wake bodies, so the wakes are dispatched normally.
+#: Purely a performance knob -- any value yields the same simulation.
 _CRUNCH_MIN_GAP = 32
 
 
@@ -106,7 +107,9 @@ class _PendingOp:
 
     def __call__(self, time: int) -> None:
         self.complete = time
-        self.core._schedule_wake(time)
+        core = self.core
+        core._inflight -= 1
+        core._schedule_wake(time)
 
 
 class Core:
@@ -119,7 +122,8 @@ class Core:
         "_pending", "finished", "finish_time", "_wake_pending_at",
         "_waiting_for_space", "_rob_size", "_fetch_width", "_retire_width",
         "_loads_retired", "_stores_retired", "_loads_issued",
-        "_stores_issued", "_load_to_use", "_crunch_ok",
+        "_stores_issued", "_load_to_use", "_crunch_ok", "_inflight",
+        "_queued", "_ahead", "_ahead_idx",
     )
 
     def __init__(
@@ -156,6 +160,15 @@ class Core:
 
         self._wake_pending_at: Optional[int] = None
         self._waiting_for_space = False
+        #: Issued loads whose data has not returned yet.
+        self._inflight = 0
+        #: Heap entries of this core (real wakes, stale ones included,
+        #: and run-ahead placeholders) not yet dispatched.
+        self._queued = 0
+        #: Run-ahead stretch: simulated wake ticks still to be
+        #: synthesized or stood in for (see _crunch), and the next one.
+        self._ahead: Optional[List[int]] = None
+        self._ahead_idx = 0
 
         # Hot-path caches (see module docstring).
         self._rob_size = params.rob_size
@@ -166,9 +179,9 @@ class Core:
         self._loads_issued = self.stats.counter("loads_issued")
         self._stores_issued = self.stats.counter("stores_issued")
         self._load_to_use = self.stats.latency("load_to_use")
-        # Gap crunching (see _crunch) is only sound when synthesized
+        # Run-ahead (see _crunch) is only sound when synthesized
         # occurrences are allowed and no per-dispatch engine trace would
-        # miss the skipped wakes.
+        # see wakes replaced by placeholders.
         self._crunch_ok = (
             engine.lazy_periodic and not engine._tracer.enabled
         )
@@ -194,6 +207,7 @@ class Core:
         if pending is not None and pending <= time:
             return
         self._wake_pending_at = time
+        self._queued += 1
         # Inline of ``engine.at(time, self._wake)``: the clamp above
         # guarantees ``time >= now``, so the past-time guard is redundant
         # and this is the single hottest scheduling site in a sweep.
@@ -214,6 +228,7 @@ class Core:
         where the unfused code pushed it (before any finish callback),
         preserving engine sequence order.
         """
+        self._queued -= 1
         self._wake_pending_at = None
         if self.finished:
             return
@@ -340,6 +355,7 @@ class Core:
                     self._stores_issued.value += 1
                 else:
                     # The entry is its own completion callback.
+                    self._inflight += 1
                     port.issue(op, record.line_addr, self.app_id, entry)
                     self._loads_issued.value += 1
         finally:
@@ -358,21 +374,21 @@ class Core:
             elif (
                 wake_at > now
                 and gap_remaining >= _CRUNCH_MIN_GAP
-                and not pending
                 and self._crunch_ok
+                and not self._inflight
                 and not self._waiting_for_space
+                and not self._queued
             ):
-                # Quiescent gap: no in-flight op and no space callback
-                # means nothing external can wake or observe this core,
-                # so successive wakes are a closed function of core
-                # state -- crunch them here instead of dispatching each.
-                # The gap floor keeps the crunch out of memory-bound
-                # phases, where its setup cost plus the re-run of the
-                # issue-stopped iteration exceeds the few dispatches it
-                # would save (skipping is always census-safe: the wakes
-                # are simply dispatched like eager mode would).
-                wake_at = self._crunch(wake_at)
+                # Quiescent: no load in flight, no space callback and no
+                # other queued entry of this core, so nothing external
+                # can wake or observe it before its next port
+                # interaction -- run ahead to it (the gap floor keeps
+                # the setup cost out of memory-bound phases; skipping is
+                # always census-safe).
+                self._crunch(wake_at)
+                return
             self._wake_pending_at = wake_at
+            self._queued += 1
             seq = engine._seq
             engine._seq = seq + 1
             heappush(engine._queue, (wake_at, seq, self._wake, _NO_ARG))
@@ -401,49 +417,44 @@ class Core:
                 if target < now:
                     target = now
                 self._wake_pending_at = target
+                self._queued += 1
                 seq = engine._seq
                 engine._seq = seq + 1
                 heappush(engine._queue, (target, seq, self._wake, _NO_ARG))
 
     # ------------------------------------------------------------------
-    # Gap crunching (lazy periodic mode)
+    # Run-ahead (lazy periodic mode)
     # ------------------------------------------------------------------
-    def _crunch(self, sim_now: int) -> int:
-        """Fast-forward successive wakes across a quiescent stretch.
+    def _crunch(self, sim_now: int) -> None:
+        """Run a quiescent core ahead to its next port interaction.
 
-        Preconditions (checked by the caller): the pending deque is
-        empty, no space callback is registered, and ``sim_now`` (the next
-        wake) is strictly in the future.  Under those, the only events
-        that can exist before the next *foreign* engine event are this
-        core's own wakes, and each wake's effect is pure arithmetic on
-        the fetch/retire state -- so iterations are simulated locally
-        (one synthesized occurrence each) instead of dispatched.
+        Preconditions (checked by the caller): no load is in flight, no
+        space callback is registered, no other entry of this core is
+        queued, and ``sim_now`` (the next wake) is strictly in the
+        future.  Nothing can then wake or observe the core before it
+        next touches the port, so each wake's effect is pure arithmetic
+        on the fetch/retire state (pending heads, if any, are completed
+        stores or loads): the wake iterations are simulated here, up to
+        the first one that would issue a request or finish the trace.
+        That *terminal* iteration is left to the real ``_wake``, which
+        re-runs it at the same tick (retirement at an already-processed
+        tick is idempotent), so issue stamps, port reads and finish
+        bookkeeping happen exactly where eager dispatch puts them.
 
-        Stopping rules keep the observable timeline bit-identical to the
-        eager census:
-
-        * An iteration that would interact with the memory port (issue a
-          request) or finish the trace is *not* simulated; the single
-          real wake this method returns re-runs it at the same tick
-          (retirement at an already-processed tick is idempotent), so
-          issue/arrival stamps, port state reads, and finish bookkeeping
-          happen exactly where eager dispatch put them.
-        * Crunching never crosses the earliest foreign queued event:
-          past it, foreign same-tick FIFO interleavings could differ.
-          The wake pushed for the first not-simulated iteration then
-          occupies the same seq position eager's push would (after all
-          currently queued entries, before anything a later dispatch
-          pushes), so same-tick ordering is preserved too.
+        The simulated ticks keep the eager ``(time, seq)`` timeline
+        (see :meth:`_tick`): ticks strictly before the queue head are
+        synthesized (booked in the census, never dispatched), and every
+        other tick is dispatched as a cheap placeholder that pushes the
+        next entry exactly when eager's wake would.  Pushing the
+        terminal wake early instead would give it a seq older than
+        foreign events pushed for the same tick meanwhile.
 
         Inside a long gap the iteration pattern reaches a steady state
         (retire ``w``, fetch ``w``, advance one cycle); once detected it
-        is applied in closed form, making a multi-thousand-instruction
-        gap O(1) instead of O(gap / width).
+        is applied in closed form: an O(1) state update plus one
+        ``range`` of ticks.
         """
-        engine = self.engine
-        limit = engine.peek_time()
-        if limit is not None and sim_now >= limit:
-            return sim_now
+        pending = self._pending
         retired_idx = self._retired_idx
         retire_time = self._retire_time
         instr_fetched = self._instr_fetched
@@ -456,25 +467,51 @@ class Core:
         retire_width = self._retire_width
         cyc = CPU_CYCLE_TICKS
         steady_ok = fetch_width == retire_width and rob_size > fetch_width
-        synthesized = 0
+        ticks: List[int] = []
         try:
             while True:
-                # -- retirement at sim_now (pending empty -> frontier is
-                # the fetch head); mirrors the _wake retirement pass.
-                gap = instr_fetched - retired_idx
-                if gap > 0:
-                    full = retire_time + -(-gap // retire_width) * cyc
-                    if full <= sim_now:
-                        retired_idx = instr_fetched
-                        retire_time = full
+                # -- retirement at sim_now; mirrors the _wake pass
+                # (every pending head already has its completion time).
+                while True:
+                    frontier = pending[0].idx if pending else instr_fetched
+                    gap = frontier - retired_idx
+                    if gap > 0:
+                        full = retire_time + -(-gap // retire_width) * cyc
+                        if full <= sim_now:
+                            retired_idx = frontier
+                            retire_time = full
+                        else:
+                            avail = (sim_now - retire_time) // cyc
+                            n = avail * retire_width
+                            if n > gap:
+                                n = gap
+                            if n > 0:
+                                retired_idx += n
+                                retire_time += -(-n // retire_width) * cyc
+                            break
+                    if not pending:
+                        break
+                    complete = pending[0].complete
+                    if complete > sim_now:
+                        break
+                    head = pending.popleft()
+                    if complete > retire_time:
+                        retire_time = complete
+                    retired_idx += 1
+                    if head.is_write:
+                        self._stores_retired.value += 1
                     else:
-                        avail = (sim_now - retire_time) // cyc
-                        n = avail * retire_width
-                        if n > gap:
-                            n = gap
-                        if n > 0:
-                            retired_idx += n
-                            retire_time += -(-n // retire_width) * cyc
+                        self._loads_retired.value += 1
+                        lat = complete - head.issued_at
+                        stat = self._load_to_use
+                        stat.count += 1
+                        stat.total += lat
+                        bound = stat.min
+                        if bound is None or lat < bound:
+                            stat.min = lat
+                        bound = stat.max
+                        if bound is None or lat > bound:
+                            stat.max = lat
                 # -- fetch; mirrors the _wake fetch loop up to the first
                 # port interaction.
                 next_wake = None
@@ -501,39 +538,33 @@ class Core:
                         gap_remaining -= n
                         fetch_time = sim_now + -(-n // fetch_width) * cyc
                         continue
-                    # A memory op would issue here: stop un-simulated.
-                    return sim_now
+                    break  # a memory op would issue here
                 if next_wake is None:
-                    # Trace drained: the real wake finishes at sim_now.
-                    return sim_now
-                synthesized += 1
-                if limit is not None and next_wake >= limit:
-                    return next_wake
+                    break  # terminal: issue or finish at sim_now
+                ticks.append(sim_now)
                 sim_now = next_wake
                 if (
                     steady_ok
                     and gap_remaining > 3 * fetch_width
+                    and not pending
                     and instr_fetched - retired_idx == rob_size
                     and sim_now - retire_time == cyc
                     and fetch_time == sim_now
                 ):
-                    # Steady state: each iteration retires and fetches
+                    # Steady state: each of the next m iterations (ticks
+                    # sim_now, sim_now + cyc, ...) retires and fetches
                     # exactly one width's worth and advances one cycle.
                     m = gap_remaining // fetch_width - 2
-                    if limit is not None:
-                        by_time = (limit - 1 - sim_now) // cyc
-                        if by_time < m:
-                            m = by_time
                     if m > 0:
-                        dn = m * fetch_width
                         dt = m * cyc
+                        ticks.extend(range(sim_now, sim_now + dt, cyc))
+                        dn = m * fetch_width
                         retired_idx += dn
                         instr_fetched += dn
                         gap_remaining -= dn
                         retire_time += dt
                         fetch_time += dt
                         sim_now += dt
-                        synthesized += m
         finally:
             self._retired_idx = retired_idx
             self._retire_time = retire_time
@@ -541,7 +572,39 @@ class Core:
             self._fetch_time = fetch_time
             self._gap_remaining = gap_remaining
             self._mem_op = mem_op
-            engine._synthesized += synthesized
+        self._wake_pending_at = sim_now
+        self._ahead = ticks
+        self._ahead_idx = 0
+        self._queued += 1
+        self._tick()
+
+    def _tick(self) -> None:
+        """Push the next entry of a run-ahead stretch.
+
+        Called once by :meth:`_crunch` and then as the placeholder event
+        at each tick it pushes.  Remaining ticks strictly before the
+        queue head are synthesized: no other event can dispatch before
+        them.  The first tick at or past the head gets a placeholder;
+        with none left, the real wake is pushed for the terminal tick.
+        Either way exactly one entry is pushed at the dispatch where
+        eager's wake would push it, so no foreign event's ``(time,
+        seq)`` order changes.  A cancelled entry at the head only makes
+        the bound conservative.
+        """
+        engine = self.engine
+        queue = engine._queue
+        ticks = self._ahead
+        i = self._ahead_idx
+        j = bisect_left(ticks, queue[0][0], i) if queue else len(ticks)
+        engine._synthesized += j - i
+        seq = engine._seq
+        engine._seq = seq + 1
+        if j < len(ticks):
+            self._ahead_idx = j + 1
+            heappush(queue, (ticks[j], seq, self._tick, _NO_ARG))
+        else:
+            self._ahead = None
+            heappush(queue, (self._wake_pending_at, seq, self._wake, _NO_ARG))
 
     # ------------------------------------------------------------------
     # Retirement accounting

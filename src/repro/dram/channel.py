@@ -23,9 +23,10 @@ the first-ready request is the minimum ``_enq_seq`` over the bucket heads
 -- instead of rescanning the queue window per service.  Queue position
 order equals ``_enq_seq`` order (appends are monotonic, removals preserve
 relative order), so the probe selects exactly the request the windowed
-:class:`FrFcfsScheduler` scan would; the scan remains the fallback for the
-two cases it doesn't cover (queue deeper than the scheduler window, and
-mixed-traffic slots where the share policy filters candidates first).
+:class:`FrFcfsScheduler` scan would: for a queue deeper than the window,
+a bucket head counts only when its ``_enq_seq`` is at most that of the
+last windowed entry.  The scan remains only for traced mixed-traffic
+slots, where the share policy filters candidates first.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ from repro.dram.timing import ChannelParams, DDR3Timing, DDR3_1600, DEFAULT_CHAN
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.engine import Engine, _NO_ARG
 from repro.sim.stats import StatSet
-
-#: Larger than any real ``_enq_seq``; sentinel for the bucket-head probe.
-_NO_PICK = 1 << 62
 
 
 class Channel:
@@ -467,13 +465,18 @@ class Channel:
             # _enq_seq, so both pick it; index 0 never emits a reorder.
             req = r0
             del queue[0]
-        elif qlen <= self._window:
-            # Indexed first-ready probe: the whole queue is inside the
-            # scan window, so the minimum-_enq_seq open-row bucket head
-            # is exactly the scan's first hit (queue position order ==
-            # _enq_seq order); no hit -> oldest (queue head).
+        else:
+            # Indexed first-ready probe: queue position order equals
+            # _enq_seq order, so the minimum-_enq_seq open-row bucket
+            # head is the first row hit in the queue.  The windowed scan
+            # sees it only when it sits among the first ``window``
+            # entries, i.e. when its _enq_seq is at most that of the
+            # last windowed entry; otherwise the scan finds no hit and
+            # takes the oldest (queue head).
+            window = self._window
+            last = queue[(qlen if qlen < window else window) - 1]
+            best_seq = last._enq_seq + 1
             req = None
-            best_seq = _NO_PICK
             for bank_idx, bank in enumerate(self.banks):
                 row = bank.open_row
                 if row is not None:
@@ -497,12 +500,6 @@ class Channel:
                 del queue[i]
             else:
                 queue.remove(req)
-        else:
-            # Queue deeper than the scan window: the bounded scan may
-            # legitimately miss a hit the full index would see, so defer
-            # to it for bit-identical decisions.
-            req = queue[self._scan_pick(queue)]
-            queue.remove(req)
 
         index = indexes[req.bank]
         bucket = index[req.row]

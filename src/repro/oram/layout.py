@@ -68,14 +68,16 @@ class BlockPlacement:
         )
 
 
-#: Upper bound on memoized placements per layout (dominated by the hot
-#: root levels; ~100 B per entry keeps the worst case around 25 MB).
-_PLACE_CACHE_LIMIT = 1 << 18
-_PLACE_MISS = object()
-
-
 class OramLayout:
-    """Bucket/slot -> device-coordinate mapping for one ORAM tree."""
+    """Bucket/slot -> device-coordinate mapping for one ORAM tree.
+
+    Every uncached level has one precomputed *plan* (see
+    :meth:`_build_level_plans`), and :meth:`_emit_bucket` turns a plan
+    plus a bucket index into that bucket's ``Z`` placements in closed
+    form.  Both :meth:`place` and :meth:`path_placements` go through it,
+    so there is exactly one placement formula; a path costs one shift
+    and a handful of divisions per level, with no per-block memo.
+    """
 
     def __init__(
         self,
@@ -120,22 +122,23 @@ class OramLayout:
         self.remote_base_line = remote_base_line
         if self.split_k > 0 and not self.remote_targets:
             raise ValueError("tree split requires remote targets")
-        self._blocks_per_target = -(-config.bucket_size // len(self.home_targets))
-        # Precompute per-segment bucket-count prefix for the subtree packing.
+        n = len(self.home_targets)
+        self._blocks_per_target = -(-config.bucket_size // n)
+        # Home slots grouped by the line they share: slot ``s`` sits at
+        # line offset ``s // n`` on target ``s % n``, so each group is
+        # decoded once per bucket.
+        self._home_groups = [
+            [(slot,) + tuple(self.home_targets[slot % n])
+             for slot in range(g * n, min((g + 1) * n, config.bucket_size))]
+            for g in range(self._blocks_per_target)
+        ]
         self._segment_offsets = self._build_segments()
-        # Per-remote-level line-base offsets.
-        self._remote_level_bases = self._build_remote_bases()
-        self._place_cache: dict = {}
-        # Hot-path caches: placement construction runs per path block and
-        # chased these through two dataclasses before.
+        self._plans = self._build_level_plans()
         self._bucket_size = config.bucket_size
         self._treetop_levels = config.treetop_levels
-        self._lines_per_row = geometry.lines_per_row
-        self._num_banks = geometry.num_banks
-        self._num_rows = geometry.num_rows
 
     # ------------------------------------------------------------------
-    # Subtree packing of home levels
+    # Per-level plans
     # ------------------------------------------------------------------
     def _build_segments(self) -> List[Tuple[int, int, int]]:
         """Segments of the home region: (top_level, height, bucket_offset).
@@ -157,13 +160,39 @@ class OramLayout:
             level += height
         return segments
 
-    def _segment_of(self, level: int) -> Tuple[int, int, int]:
-        for top, height, offset in reversed(self._segment_offsets):
-            if level >= top:
-                if level >= top + height:
-                    raise ValueError(f"level {level} beyond home region")
-                return top, height, offset
-        raise ValueError(f"level {level} is tree-top cached")
+    def _build_level_plans(self) -> List[Optional[tuple]]:
+        """One plan per level; ``None`` for tree-top-cached levels.
+
+        Home level ``l`` in segment ``(top, height, offset)``: with
+        ``depth = l - top`` the bucket's subtree root is ``b >> depth``
+        and its BFS position inside the subtree is
+        ``(1 << depth) - 1 + (b & mask)``, so the subtree-packed index is
+        ``packed0 + (b >> depth) * ((1 << height) - 1) + (b & mask)``
+        with ``packed0 = offset - (1 << top) * ((1 << height) - 1)
+        + (1 << depth) - 1``.  The plan is
+        ``(False, depth, mask, subtree_size, packed0)``.
+
+        Relocated level ``l`` (Fig. 7): the plan is
+        ``(True, 1 << l, slot_base, rot_base)``.  Each remote channel
+        reserves, per level, room for both of its shares -- the
+        all-buckets slot-j region at ``slot_base`` and the one-in-three
+        slot-0 region at ``rot_base`` -- stacked level after level.
+        """
+        plans: List[Optional[tuple]] = [None] * self.config.num_levels
+        for top, height, offset in self._segment_offsets:
+            subtree_size = (1 << height) - 1
+            for depth in range(height):
+                plans[top + depth] = (
+                    False, depth, (1 << depth) - 1, subtree_size,
+                    offset - (1 << top) * subtree_size + (1 << depth) - 1,
+                )
+        cursor = self.remote_base_line
+        rotate = max(len(self.remote_targets), 1)
+        for level in range(self.home_levels, self.config.num_levels):
+            buckets = 1 << level
+            plans[level] = (True, buckets, cursor, cursor + buckets)
+            cursor += buckets + -(-buckets // rotate)
+        return plans
 
     def packed_index(self, bucket: int) -> int:
         """Subtree-packed sequential index of a home-region bucket.
@@ -172,33 +201,18 @@ class OramLayout:
         subtree), subtrees are laid out by subtree id.
         """
         level = self.tree.level_of(bucket)
-        top, height, seg_offset = self._segment_of(level)
-        depth = level - top
-        subtree_root = bucket >> depth
-        subtree_id = subtree_root - (1 << top)
-        subtree_size = (1 << height) - 1
-        bfs = ((1 << depth) - 1) + (bucket - (subtree_root << depth))
-        return seg_offset + subtree_id * subtree_size + bfs
+        plan = self._plans[level]
+        if plan is None:
+            raise ValueError(f"level {level} is tree-top cached")
+        if plan[0]:
+            raise ValueError(f"level {level} beyond home region")
+        return self._packed(plan, bucket)
 
-    # ------------------------------------------------------------------
-    # Remote (split) levels
-    # ------------------------------------------------------------------
-    def _build_remote_bases(self) -> dict:
-        """Line-base per relocated level, stacked per channel.
-
-        Each remote channel must reserve room, per level, for the *larger*
-        of its two shares: the all-buckets slot-j region and the
-        one-in-three slot-0 region; we simply stack both regions.
-        """
-        bases = {}
-        cursor = self.remote_base_line
-        for level in range(self.home_levels, self.config.num_levels):
-            buckets = 1 << level
-            per_target_blocks = buckets  # slot-j region (one block/bucket)
-            rotated_blocks = -(-buckets // max(len(self.remote_targets), 1))
-            bases[level] = (cursor, cursor + per_target_blocks)
-            cursor += per_target_blocks + rotated_blocks
-        return bases
+    @staticmethod
+    def _packed(plan: tuple, bucket: int) -> int:
+        """Packed index of ``bucket`` from its home level's plan."""
+        _remote, depth, mask, subtree_size, packed0 = plan
+        return packed0 + (bucket >> depth) * subtree_size + (bucket & mask)
 
     # ------------------------------------------------------------------
     @property
@@ -227,81 +241,67 @@ class OramLayout:
         """Placement of one block; ``None`` for tree-top-cached buckets."""
         if not 0 <= slot < self._bucket_size:
             raise ValueError(f"slot {slot} out of range")
-        # The mapping is a pure function of (bucket, slot) and placements
-        # are treated as immutable, so memoize: every access recomputes
-        # the same root levels.  The cache is bounded so a huge tree
-        # cannot exhaust memory; once full, cold (deep) buckets are
-        # computed fresh.
-        key = bucket * self._bucket_size + slot
-        cache = self._place_cache
-        placement = cache.get(key, _PLACE_MISS)
-        if placement is not _PLACE_MISS:
-            return placement
         level = self.tree.level_of(bucket)
         if level < self._treetop_levels:
-            placement = None
-        elif level < self.home_levels:
-            placement = self._place_home(bucket, slot, level)
-        else:
-            placement = self._place_remote(bucket, slot, level)
-        if len(cache) < _PLACE_CACHE_LIMIT:
-            cache[key] = placement
-        return placement
-
-    def _place_home(self, bucket: int, slot: int, level: int) -> BlockPlacement:
-        targets = self.home_targets
-        n = len(targets)
-        target = targets[slot % n]
-        # Inline of :meth:`packed_index` (the level is already known) and
-        # of :func:`decode_line` (the line index is positive by
-        # construction: ``base_line`` sits above the NS-App slices).
-        top, height, seg_offset = self._segment_of(level)
-        depth = level - top
-        subtree_root = bucket >> depth
-        packed = (
-            seg_offset
-            + (subtree_root - (1 << top)) * ((1 << height) - 1)
-            + (1 << depth) - 1
-            + (bucket - (subtree_root << depth))
-        )
-        line = self.base_line + packed * self._blocks_per_target + slot // n
-        lines_per_row = self._lines_per_row
-        col = line % lines_per_row
-        row_group = line // lines_per_row
-        num_banks = self._num_banks
-        return BlockPlacement(
-            bucket, slot, target[0], target[1],
-            row_group % num_banks,
-            (row_group // num_banks) % self._num_rows,
-            col, False,
-        )
-
-    def _place_remote(self, bucket: int, slot: int, level: int) -> BlockPlacement:
-        n = len(self.remote_targets)
-        index_in_level = bucket - (1 << level)
-        slot_base, rot_base = self._remote_level_bases[level]
-        if slot == 0:
-            # Fig. 7: first block rotates across the normal channels.
-            target = self.remote_targets[index_in_level % n]
-            line = rot_base + index_in_level // n
-        else:
-            target = self.remote_targets[(slot - 1) % n]
-            line = slot_base + index_in_level
-        bank, row, col = decode_line(line, self.device)
-        return BlockPlacement(
-            bucket, slot, target[0], target[1], bank, row, col, True
-        )
-
-    # ------------------------------------------------------------------
-    def path_placements(self, leaf: int) -> List[BlockPlacement]:
-        """Every DRAM block touched by an access to ``leaf``'s path."""
+            return None
         placements: List[BlockPlacement] = []
-        for bucket in self.tree.path_buckets(leaf):
-            for slot in range(self.config.bucket_size):
-                placement = self.place(bucket, slot)
-                if placement is not None:
-                    placements.append(placement)
+        self._emit_bucket(placements, self._plans[level], bucket)
+        return placements[slot]
+
+    def path_placements(self, leaf: int) -> List[BlockPlacement]:
+        """Every DRAM block touched by an access to ``leaf``'s path.
+
+        Root-to-leaf, slots in order within each bucket; the level-``l``
+        bucket on the path is ``node >> (L - l)`` with ``node = 2^L +
+        leaf``.
+        """
+        tree = self.tree
+        if not 0 <= leaf < tree.num_leaves:
+            raise ValueError(f"leaf {leaf} out of range")
+        leaf_level = tree.leaf_level
+        node = tree.num_leaves + leaf
+        emit = self._emit_bucket
+        plans = self._plans
+        placements: List[BlockPlacement] = []
+        for level in range(self._treetop_levels, leaf_level + 1):
+            emit(placements, plans[level], node >> (leaf_level - level))
         return placements
+
+    def _emit_bucket(self, out: List[BlockPlacement], plan: tuple,
+                     bucket: int) -> None:
+        """Append ``bucket``'s ``Z`` placements (slot order) to ``out``.
+
+        Slots that share a line share its (bank, row, col), so each
+        distinct line is decoded once.
+        """
+        device = self.device
+        append = out.append
+        if not plan[0]:
+            line = (self.base_line
+                    + self._packed(plan, bucket) * self._blocks_per_target)
+            for group in self._home_groups:
+                bank, row, col = decode_line(line, device)
+                for slot, channel, subchannel in group:
+                    append(BlockPlacement(bucket, slot, channel, subchannel,
+                                          bank, row, col, False))
+                line += 1
+            return
+        # Fig. 7: slot 0 rotates across the normal channels; slot j >= 1
+        # sits on channel (j - 1) mod n, one block per bucket.
+        _remote, first, slot_base, rot_base = plan
+        targets = self.remote_targets
+        n = len(targets)
+        index = bucket - first
+        bank, row, col = decode_line(rot_base + index // n, device)
+        channel, subchannel = targets[index % n]
+        append(BlockPlacement(bucket, 0, channel, subchannel,
+                              bank, row, col, True))
+        if self._bucket_size > 1:
+            bank, row, col = decode_line(slot_base + index, device)
+            for slot in range(1, self._bucket_size):
+                channel, subchannel = targets[(slot - 1) % n]
+                append(BlockPlacement(bucket, slot, channel, subchannel,
+                                      bank, row, col, True))
 
     # ------------------------------------------------------------------
     # Space accounting (Table I)

@@ -114,7 +114,7 @@ class Engine:
         tracing is opt-in because it emits one event per callback.
 
         ``periodic`` selects how fixed-cadence model bookkeeping (rank
-        refresh, the secure engine's emitter, core gap crunching) is
+        refresh, the secure engine's emitter, core run-ahead) is
         materialized: ``"lazy"`` (default) lets models fast-forward
         quiescent stretches in closed form, synthesizing the skipped
         occurrences into the event census; ``"eager"`` forces the

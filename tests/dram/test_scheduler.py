@@ -1,11 +1,16 @@
 """FR-FCFS and the bandwidth-preallocation share policy."""
 
+import random
+
 import pytest
 
 from repro.dram.bank import Bank, RankTimers
+from repro.dram.channel import Channel
 from repro.dram.commands import MemRequest, OpType, TrafficClass
 from repro.dram.scheduler import FrFcfsScheduler, SharePolicy, SingleClassPolicy
-from repro.dram.timing import DDR3_1600 as T
+from repro.dram.timing import ChannelParams, DDR3_1600 as T
+from repro.obs.tracer import Tracer
+from repro.sim.engine import Engine
 
 
 def req(row, bank=0, traffic=TrafficClass.NORMAL):
@@ -43,6 +48,55 @@ class TestFrFcfs:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             FrFcfsScheduler(window=0)
+
+
+class TestIndexedPickMatchesWindowedScan:
+    """``Channel._pick_request`` on single-class queues (the per-bank
+    row index, with the window cut-off for deep queues) against the
+    windowed :class:`FrFcfsScheduler` scan, on random queues and open
+    rows.  Queues run up to 64 deep against windows of 1 to 32."""
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_pick_and_reorder_index(self, seed, traced):
+        rng = random.Random(seed)
+        window = rng.choice([1, 2, 5, 24, 32])
+        params = ChannelParams(read_queue_depth=64, scheduler_window=window)
+        tracer = Tracer(["dram"]) if traced else None
+        channel = Channel(Engine(), "ch0", params=params, tracer=tracer)
+        scan = FrFcfsScheduler(window)
+        num_banks = len(channel.banks)
+        for _round in range(40):
+            while len(channel.read_q) < rng.randint(1, 64):
+                channel.enqueue(MemRequest(
+                    OpType.READ, 0, 0, bank=rng.randrange(num_banks),
+                    row=rng.randrange(4),
+                ))
+            for bank in channel.banks:
+                bank.open_row = rng.choice([None, 0, 1, 2, 3])
+            queue = list(channel.read_q)
+            want = scan.pick(queue, channel.banks)
+            before = len(tracer.events) if traced else 0
+            got = channel._pick_request(channel.read_q)
+            assert got is queue[want]
+            assert channel.read_q == queue[:want] + queue[want + 1:]
+            if traced:
+                reorders = [e for e in tracer.events[before:]
+                            if e.name == "frfcfs_reorder"]
+                assert [e.args["index"] for e in reorders] == (
+                    [want] if want else []
+                )
+            # The side index still holds exactly the queued requests,
+            # oldest first per (bank, row).
+            indexed = sorted(
+                (r._enq_seq for index in channel._rq_index
+                 for bucket in index.values() for r in bucket)
+            )
+            assert indexed == [r._enq_seq for r in channel.read_q]
+            for index in channel._rq_index:
+                for bucket in index.values():
+                    seqs = [r._enq_seq for r in bucket]
+                    assert seqs == sorted(seqs)
 
 
 class TestSharePolicy:

@@ -17,6 +17,9 @@ at every observable layer:
 * channel StatSet snapshots (refresh counters included) are identical;
 * :class:`PeriodicStream`'s closed forms agree with one-at-a-time
   eager consumption;
+* core run-ahead (quiescent cores simulated past foreign events behind
+  placeholder ticks) keeps every fig9 payload identical, survives a
+  stale queued wake, and really removes wake bodies;
 * the multi-tenant golden *scenario* (open-loop service layer, PR 6)
   produces the committed report and trace digests in both periodic
   modes.
@@ -28,14 +31,17 @@ import os
 import pytest
 
 from repro.core.schemes import run_scheme
+from repro.cpu.core import Core
 from repro.dram.channel import Channel
 from repro.dram.commands import MemRequest, OpType
 from repro.dram.compliance import ProtocolChecker
 from repro.dram.timing import DDR3_1600 as T
 from repro.obs.export import trace_digest
 from repro.obs.golden import run_traced
-from repro.sim.engine import Engine
+from repro.sim.engine import CPU_CYCLE_TICKS, Engine
 from repro.sim.periodic import PeriodicStream
+from repro.trace.benchmarks import BENCHMARKS
+from repro.trace.trace_format import TraceRecord
 
 FIG9_SCHEMES = ("baseline", "doram", "doram+1")
 TRACE_LENGTH = 300
@@ -122,6 +128,114 @@ class TestGoldenDigestInvariance:
     def test_eager_lazy_digests_agree(self, periodic_mode):
         lazy = self._digest(periodic_mode)
         assert self._digest(periodic_mode, periodic="eager") == lazy
+
+
+# ---------------------------------------------------------------------------
+# Core run-ahead
+# ---------------------------------------------------------------------------
+
+#: Short enough to run every Table III benchmark in both modes in tier-1.
+RUN_AHEAD_TRACE_LENGTH = 120
+
+
+def _count_wakes(monkeypatch):
+    """Count ``Core._wake`` dispatches from now on."""
+    count = [0]
+    wake = Core._wake
+
+    def counted(self):
+        count[0] += 1
+        wake(self)
+
+    monkeypatch.setattr(Core, "_wake", counted)
+    return count
+
+
+@pytest.mark.parametrize("scheme", FIG9_SCHEMES)
+def test_run_ahead_keeps_every_fig9_payload(scheme, periodic_mode):
+    """Eager and lazy payloads agree on all 15 Table III benchmarks."""
+    for spec in BENCHMARKS:
+        periodic_mode("eager")
+        eager = run_scheme(scheme, spec.code, RUN_AHEAD_TRACE_LENGTH)
+        periodic_mode("lazy")
+        lazy = run_scheme(scheme, spec.code, RUN_AHEAD_TRACE_LENGTH)
+        assert lazy.to_json_dict() == eager.to_json_dict(), spec.code
+        assert lazy.end_time == eager.end_time, spec.code
+        assert lazy.raw_events <= eager.raw_events, spec.code
+
+
+def test_run_ahead_removes_most_wake_bodies(periodic_mode, monkeypatch):
+    """Placeholders stand in for the simulated wakes: at least half of
+    the real ``_wake`` dispatches go on a compute-heavy benchmark
+    (blackscholes keeps about one in six)."""
+    counts = {}
+    for mode in ("eager", "lazy"):
+        periodic_mode(mode)
+        wakes = _count_wakes(monkeypatch)
+        run_scheme("doram", "bl", RUN_AHEAD_TRACE_LENGTH)
+        counts[mode] = wakes[0]
+    assert counts["lazy"] <= counts["eager"] // 2, counts
+
+
+class _LatencyPort:
+    """Answers every read a fixed delay after issue; always has space."""
+
+    def __init__(self, engine, latency):
+        self.engine = engine
+        self.latency = latency
+        self.issued = []
+
+    def can_accept(self, op):
+        return True
+
+    def issue(self, op, line_addr, app_id, on_complete):
+        self.issued.append((self.engine.now, op, line_addr))
+        if on_complete is not None:
+            self.engine.call_after(self.latency, on_complete,
+                                   self.engine.now + self.latency)
+
+    def notify_on_space(self, callback):  # pragma: no cover - never full
+        raise AssertionError("port never fills")
+
+
+def _stale_wake_run(periodic):
+    """A load, a store 100 instructions later, then long gaps.
+
+    Fetching the store's gap arms a wake for the store's issue tick;
+    the load's data returns earlier and its wake arms a second entry for
+    that same tick.  From then on each wake has a queued twin, until a
+    later load waits on memory.  The wakes in between are otherwise
+    quiescent (nothing in flight, a long gap ahead), so only the
+    queued-entry guard keeps run-ahead from starting while the twin is
+    still due to fire.  Probe events sample the count and add foreign
+    events to the queue.
+    """
+    eng = Engine(periodic=periodic)
+    port = _LatencyPort(eng, latency=4 * CPU_CYCLE_TICKS)
+    records = [TraceRecord(gap=0, is_write=False, line_addr=1),
+               TraceRecord(gap=100, is_write=True, line_addr=2)]
+    records += [TraceRecord(gap=600 + 37 * i, is_write=i % 3 == 0,
+                            line_addr=3 + i) for i in range(6)]
+    finish = []
+    core = Core(eng, 0, iter(records), port, on_finish=finish.append)
+    queued = []
+    for t in range(2 * CPU_CYCLE_TICKS, 6000, 7 * CPU_CYCLE_TICKS):
+        eng.at(t, lambda: queued.append(core._queued))
+    core.start()
+    eng.run(max_events=100_000)
+    return eng, port, finish, max(queued)
+
+
+def test_run_ahead_waits_out_a_stale_wake():
+    eng_eager, port_eager, finish_eager, stale_eager = _stale_wake_run("eager")
+    eng_lazy, port_lazy, finish_lazy, stale_lazy = _stale_wake_run("lazy")
+    # The scenario really holds a stale entry beside the live one.
+    assert stale_eager >= 2 and stale_lazy >= 2
+    assert port_lazy.issued == port_eager.issued
+    assert finish_lazy == finish_eager
+    assert eng_lazy.now == eng_eager.now
+    assert eng_lazy.events_dispatched == eng_eager.events_dispatched
+    assert eng_lazy.raw_events_dispatched < eng_eager.raw_events_dispatched
 
 
 # ---------------------------------------------------------------------------
